@@ -16,10 +16,10 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .peakfind import PeakSearchConfig, full_report
+from .peakfind import PeakSearchConfig, coarse_scan, full_report
 from .quadrature import QuadratureError, QuadratureSettings
 from .spectrum import Spectrum
 from .units import DimensionlessParams
@@ -86,7 +86,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One sweep point; None fields serialize as empty CSV cells."""
+    """One sweep point; None fields serialize as empty CSV cells.
+
+    `trace` is not a CSV column: it holds the exit-density series of the
+    row's own peak search when `compute_row` was asked for it.
+    """
 
     lam: float
     w: float
@@ -98,6 +102,7 @@ class ResultRow:
     panels_max: int
     refine_iters: int
     note: str = ""
+    trace: list[tuple[float, float]] | None = field(default=None, repr=False, compare=False)
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -225,12 +230,15 @@ def compute_row(
     spec: Spectrum,
     peak_config: PeakSearchConfig,
     settings: QuadratureSettings,
+    trace: bool = False,
 ) -> ResultRow:
     """Full phase-time report for one (lam, W) grid point.
 
     Failures are captured in the note column so that sweeps can continue;
     window hits are reported the same way (the result is untrustworthy
-    until the caller widens the window).
+    until the caller widens the window).  With trace set, the row also
+    carries the coarse scan of its peak search as (tau, density) pairs;
+    a failed row carries none.
     """
     try:
         params = DimensionlessParams(W=w, lam=lam)
@@ -241,11 +249,14 @@ def compute_row(
             v_transit=None, ratio_ana_num=None, panels_max=0, refine_iters=0,
             note=f"failed: {exc}",
         )
-    note = ""
-    if report.tau_spm is None:
-        note = "tau_spm diverges (E_M = V0)"
+    # the peak-search note goes first: the CLI counts failed rows by prefix
+    notes = []
     if peak.window_hit:
-        note = "window_hit: peak at search boundary, widen tau_min/tau_max"
+        notes.append("window_hit: peak at search boundary, widen tau_min/tau_max")
+    elif not peak.refined:
+        notes.append("unrefined: coarse scan not unimodal at the argmax")
+    if report.tau_spm is None:
+        notes.append("tau_spm diverges (E_M = V0)")
     return ResultRow(
         lam=lam,
         w=w,
@@ -256,7 +267,8 @@ def compute_row(
         ratio_ana_num=report.ratio_ana_num,
         panels_max=peak.panels_max,
         refine_iters=peak.refine_iters,
-        note=note,
+        note="; ".join(notes),
+        trace=peak.scan.trace() if trace else None,
     )
 
 
@@ -296,27 +308,16 @@ def run_fig2(config: ExperimentConfig) -> list[ResultRow]:
 def run_single(config: ExperimentConfig):
     """One grid point; optionally also the exit-density time series."""
     lam, w = config.lambdas[0], config.w_ratios[0]
-    row = compute_row(lam, w, config.spectrum(), config.peak, config.quadrature)
-    trace: list[tuple[float, float]] | None = None
-    if config.trace:
-        trace = density_trace(config, lam, w)
-    return row, trace
+    row = compute_row(
+        lam, w, config.spectrum(), config.peak, config.quadrature, trace=config.trace
+    )
+    return row, row.trace
 
 
 def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[float, float]]:
     """Exit density sampled on the coarse search grid (monotone in tau)."""
-    from . import wavepacket
-    from .peakfind import _resolve_window
-
     params = DimensionlessParams(W=w, lam=lam)
-    tau_lo, tau_hi = _resolve_window(config.peak, params)
-    n = config.peak.coarse_points
-    step = (tau_hi - tau_lo) / (n - 1)
-    spec = config.spectrum()
-    return [
-        (tau, wavepacket.density_at_exit(spec, params, tau, config.quadrature))
-        for tau in (tau_lo + i * step for i in range(n))
-    ]
+    return coarse_scan(config.spectrum(), params, config.peak, config.quadrature).trace()
 
 
 def _fmt(value: float | None) -> str:

@@ -2,16 +2,21 @@
 
 The numerical phase time is the time at which |Phi_T(L, t)|^2 is maximal:
 a coarse scan over a bracketing window followed by derivative-free
-golden-section refinement (the density is smooth, but differentiating the
-quadrature would amplify its noise).  The search runs on the exp-rescaled
-density (common factor e^{2 a lam} pulled out), which leaves the argmax
-untouched and keeps opaque configurations representable.
+golden-section refinement.  Both evaluate the density on one node set per
+configuration (`wavepacket.exit_amplitude`), built once for the whole
+window, so the density is a smooth function of tau with no panel-set noise.
+The coarse scan advances every node's phase factor by one grid step per
+sample; refinement evaluates the sum directly.  The search runs on the
+exp-rescaled density (common factor e^{2 a lam} pulled out), which leaves
+the argmax untouched and keeps opaque configurations representable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import phasetime, wavepacket
 from .quadrature import QuadratureSettings
@@ -46,11 +51,15 @@ class PeakSearchConfig:
 
 @dataclass(frozen=True)
 class PeakResult:
+    """Peak time and density, with the coarse scan the search ran on."""
+
     tau_peak: float
     density_peak: float
     window_hit: bool
+    refined: bool
     refine_iters: int
     panels_max: int
+    scan: CoarseScan = field(repr=False, compare=False)
 
 
 def default_window(tau_reference: float) -> tuple[float, float]:
@@ -71,6 +80,43 @@ def _resolve_window(
     )
 
 
+@dataclass(frozen=True)
+class CoarseScan:
+    """Exp-rescaled exit density on the coarse grid, and the engine behind it."""
+
+    taus: list[float]
+    densities: np.ndarray
+    amplitude: wavepacket.ExitAmplitude
+
+    def trace(self) -> list[tuple[float, float]]:
+        """(tau, |Phi_T(0, tau)|^2) on the coarse grid, rescaling undone."""
+        return list(zip(self.taus, self.amplitude.unscale(self.densities).tolist()))
+
+
+def coarse_scan(
+    spec: Spectrum,
+    params: DimensionlessParams,
+    config: PeakSearchConfig | None = None,
+    settings: QuadratureSettings | None = None,
+) -> CoarseScan:
+    """|Phi_T(0, tau)|^2 e^{2 a lam} at config.coarse_points evenly spaced taus."""
+    config = config or PeakSearchConfig()
+    tau_lo, tau_hi = _resolve_window(config, params)
+    phi = wavepacket.exit_amplitude(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
+    n = config.coarse_points
+    step = (tau_hi - tau_lo) / (n - 1)
+    # each node's term advances by one grid step per sample: one complex
+    # multiply per node and tau instead of an exponential
+    term = phi.amp * np.exp(-1j * tau_lo * phi.kappa2)
+    advance = np.exp(-1j * step * phi.kappa2)
+    dens = np.empty(n)
+    for i in range(n):
+        if i:
+            term *= advance
+        dens[i] = abs(term.sum()) ** 2
+    return CoarseScan([tau_lo + i * step for i in range(n)], dens, phi)
+
+
 def peak_arrival(
     spec: Spectrum,
     params: DimensionlessParams,
@@ -81,47 +127,30 @@ def peak_arrival(
 
     window_hit is set (and refinement skipped) when the coarse argmax lies
     within one grid step of a window boundary; the caller must widen.
+    refined is False when golden-section refinement did not run: on a
+    window hit, or when the coarse scan is not unimodal at its argmax (the
+    unrefined grid argmax is returned).
     """
     config = config or PeakSearchConfig()
-    settings = settings or QuadratureSettings()
-    tau_lo, tau_hi = _resolve_window(config, params)
-    log_scale = params.a * params.lam
-    panels_max = 0
+    scan = coarse_scan(spec, params, config, settings)
+    taus, dens, phi = scan.taus, scan.densities, scan.amplitude
+    n = len(taus)
+    i_best = int(np.argmax(dens))
 
     def scaled_density(tau: float) -> float:
-        nonlocal panels_max
-        res = wavepacket.transmitted_integral(
-            spec, params, 0.0, tau, settings, log_scale=log_scale
-        )
-        panels_max = max(panels_max, res.panels)
-        return abs(res.value) ** 2
+        return abs(phi(tau)) ** 2
 
-    n = config.coarse_points
-    step = (tau_hi - tau_lo) / (n - 1)
-    taus = [tau_lo + i * step for i in range(n)]
-    dens = [scaled_density(t) for t in taus]
-    i_best = max(range(n), key=dens.__getitem__)
-
-    def unscale(d: float) -> float:
-        return d * math.exp(-2.0 * log_scale)
-
-    if i_best <= 1 or i_best >= n - 2:
-        return PeakResult(
-            tau_peak=taus[i_best],
-            density_peak=unscale(dens[i_best]),
-            window_hit=True,
-            refine_iters=0,
-            panels_max=panels_max,
-        )
-
+    window_hit = i_best <= 1 or i_best >= n - 2
     # Local three-point unimodality check before trusting the bracket.
-    if not (dens[i_best - 1] < dens[i_best] > dens[i_best + 1]):
+    if window_hit or not (dens[i_best - 1] < dens[i_best] > dens[i_best + 1]):
         return PeakResult(
             tau_peak=taus[i_best],
-            density_peak=unscale(dens[i_best]),
-            window_hit=False,
+            density_peak=phi.unscale(float(dens[i_best])),
+            window_hit=window_hit,
+            refined=False,
             refine_iters=0,
-            panels_max=panels_max,
+            panels_max=phi.panels,
+            scan=scan,
         )
 
     lo, hi = taus[i_best - 1], taus[i_best + 1]
@@ -142,10 +171,12 @@ def peak_arrival(
     tau_peak = 0.5 * (lo + hi)
     return PeakResult(
         tau_peak=tau_peak,
-        density_peak=unscale(scaled_density(tau_peak)),
+        density_peak=phi.unscale(scaled_density(tau_peak)),
         window_hit=False,
+        refined=True,
         refine_iters=iters,
-        panels_max=panels_max,
+        panels_max=phi.panels,
+        scan=scan,
     )
 
 

@@ -55,6 +55,28 @@ def _gl_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 
+@dataclass(frozen=True)
+class PanelSet:
+    """Accepted panels [lo_i, hi_i] of an adaptive refinement.
+
+    `values` holds each panel's n-node Gauss-Legendre integral; summing them
+    gives the integral, and `nodes()` exposes the same composite rule for
+    other integrands on the node set the refinement chose.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    values: np.ndarray
+    nodes_per_panel: int
+    evaluations: int
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Abscissae and weights of the composite rule, flattened."""
+        x01, w01 = _gl_nodes(self.nodes_per_panel)
+        width = (self.hi - self.lo)[:, None]
+        return (self.lo[:, None] + width * x01).ravel(), (width * w01).ravel()
+
+
 def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     """Gauss-Legendre estimates for a batch of panels [lo_i, hi_i]."""
     x01, w01 = _gl_nodes(n)
@@ -65,18 +87,20 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
         sl = slice(start, start + step)
         nodes = lo[sl, None] + width[sl, None] * x01[None, :]
         vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-        out[sl] = width[sl] * (vals @ w01)
+        # einsum, not `vals @ w01`: the matrix-vector product starts BLAS
+        # threads, which oversubscribe the CPUs a process pool already fills
+        out[sl] = width[sl] * np.einsum("ij,j->i", vals, w01)
     return out
 
 
-def integrate_adaptive(
+def adaptive_panels(
     f,
     lo: float,
     hi: float,
     settings: QuadratureSettings | None = None,
     initial_panels: int = 1,
-) -> QuadratureResult:
-    """Integrate a vectorized integrand over [lo, hi] to settings.rel_tol.
+) -> PanelSet:
+    """Refine [lo, hi] until every panel's integral of f meets settings.rel_tol.
 
     initial_panels seeds a uniform subdivision before refinement (used by
     the wave-packet synthesis to resolve the e^{-i kappa^2 tau} chirp).
@@ -100,6 +124,7 @@ def integrate_adaptive(
     total_width = hi - lo
     done_sum = 0.0 + 0.0j
     done_panels = 0
+    accepted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     while act_lo.size:
         n_act = act_lo.size
@@ -126,6 +151,11 @@ def integrate_adaptive(
 
         done_sum += pair[ok].sum()
         done_panels += 2 * int(np.count_nonzero(ok))
+        accepted.append((
+            np.concatenate([act_lo[ok], mid[ok]]),
+            np.concatenate([mid[ok], act_hi[ok]]),
+            np.concatenate([left[ok], right[ok]]),
+        ))
 
         keep = ~ok
         act_parent = np.concatenate([left[keep], right[keep]])
@@ -134,4 +164,25 @@ def integrate_adaptive(
             np.concatenate([mid[keep], act_hi[keep]]),
         )
 
-    return QuadratureResult(value=complex(done_sum), panels=done_panels, evaluations=evaluations)
+    p_lo, p_hi, values = (np.concatenate(part) for part in zip(*accepted))
+    return PanelSet(p_lo, p_hi, values, n, evaluations)
+
+
+def integrate_adaptive(
+    f,
+    lo: float,
+    hi: float,
+    settings: QuadratureSettings | None = None,
+    initial_panels: int = 1,
+) -> QuadratureResult:
+    """Integrate a vectorized integrand over [lo, hi] to settings.rel_tol.
+
+    The sum over the accepted panels of `adaptive_panels`, which documents
+    the arguments and raises QuadratureError when max_panels is hit.
+    """
+    panels = adaptive_panels(f, lo, hi, settings, initial_panels)
+    return QuadratureResult(
+        value=complex(panels.values.sum()),
+        panels=panels.lo.size,
+        evaluations=panels.evaluations,
+    )

@@ -8,9 +8,16 @@ stationary states,
 
 with xi = k_M (x - L) >= 0 and tau = E_M t / hbar.  The exact amplitude is
 used throughout; the opaque-limit approximation lives in `phasetime` so the
-numerical ground truth stays independent of the model being tested.  The
-initial panel count grows linearly with |tau| to resolve the chirp
-e^{-i kappa^2 tau} before adaptive refinement takes over.
+numerical ground truth stays independent of the model being tested.
+
+Two routes evaluate it.  `transmitted_integral` integrates one (xi, tau)
+sample adaptively; its initial panel count grows linearly with |tau| to
+resolve the chirp e^{-i kappa^2 tau} before refinement takes over.
+`exit_amplitude` serves many times at the exit xi = 0: it refines the
+tau-independent factor g |T| e^{i phi} once, on panels seeded for the
+chirp at the largest |tau| (and therefore at every smaller one), and then
+Phi_T(0, tau) = sum_j amp_j e^{-i kappa_j^2 tau} costs one exponential per
+node and time.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import spectrum as _spectrum
 from . import transmission
-from .quadrature import QuadratureResult, QuadratureSettings, integrate_adaptive
+from .quadrature import QuadratureResult, QuadratureSettings, adaptive_panels, integrate_adaptive
 from .spectrum import Spectrum
 from .units import DimensionlessParams
 
@@ -66,6 +73,60 @@ def transmitted_integral(
 
     return integrate_adaptive(
         integrand, 0.0, 1.0, settings, initial_panels=_initial_panels(position, time)
+    )
+
+
+@dataclass(frozen=True)
+class ExitAmplitude:
+    """Phi_T(0, tau) * e^{log_scale} on one composite Gauss-Legendre node set.
+
+    amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale};
+    `panels` is the size of the node set the refinement chose.
+    """
+
+    kappa2: np.ndarray
+    amp: np.ndarray
+    panels: int
+    log_scale: float
+
+    def __call__(self, time: float) -> complex:
+        return complex(np.sum(self.amp * np.exp(-1j * time * self.kappa2)))
+
+    def unscale(self, scaled_density):
+        """|Phi_T|^2 from a density |self(tau)|^2 (scalar or array)."""
+        return scaled_density * math.exp(-2.0 * self.log_scale)
+
+
+def exit_amplitude(
+    spec: Spectrum,
+    params: DimensionlessParams,
+    time_bound: float,
+    settings: QuadratureSettings | None = None,
+) -> ExitAmplitude:
+    """Exit amplitude for every |tau| <= time_bound from one refinement.
+
+    The amplitude factor is refined to settings.rel_tol from the uniform
+    panels that resolve e^{-i kappa^2 time_bound}; QuadratureError is raised
+    when that needs more than settings.max_panels panels.  The opaque
+    suppression is factored out (log_scale = a * lam) so that the amplitude
+    stays representable; `ExitAmplitude.unscale` restores it.
+    """
+    settings = settings or QuadratureSettings()
+    log_scale = params.a * params.lam
+
+    def amplitude(kappa: np.ndarray) -> np.ndarray:
+        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
+        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
+
+    panels = adaptive_panels(
+        amplitude, 0.0, 1.0, settings, initial_panels=_initial_panels(0.0, time_bound)
+    )
+    kappa, weights = panels.nodes()
+    return ExitAmplitude(
+        kappa2=kappa * kappa,
+        amp=weights * amplitude(kappa),
+        panels=panels.lo.size,
+        log_scale=log_scale,
     )
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import os
 
 import pytest
 
+from tunneltime import peakfind, wavepacket
 from tunneltime.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -19,9 +21,11 @@ from tunneltime.experiments import (
     write_rows,
     write_trace,
 )
-from tunneltime.peakfind import PeakSearchConfig
+from tunneltime.peakfind import PeakSearchConfig, default_window
+from tunneltime.phasetime import moments_closed_form, phase_time_moments
 from tunneltime.quadrature import QuadratureSettings
 from tunneltime.spectrum import Spectrum
+from tunneltime.units import DimensionlessParams
 
 FAST_QUAD = {"rel_tol": "1e-7"}
 
@@ -110,6 +114,23 @@ class TestRows:
         cfg = PeakSearchConfig(tau_min=40.0, tau_max=80.0, coarse_points=32)
         row = compute_row(100.0, 1.0, spec, cfg, QuadratureSettings())
         assert row.note.startswith("window_hit")
+        assert row.note.endswith("; tau_spm diverges (E_M = V0)")  # both notes kept
+
+    def test_unrefined_peak_noted(self, monkeypatch):
+        real_scan = peakfind.coarse_scan
+
+        def flat_top(*args):
+            scan = real_scan(*args)
+            dens = scan.densities.copy()
+            i = int(dens.argmax())
+            dens[i + 1] = dens[i]
+            return dataclasses.replace(scan, densities=dens)
+
+        monkeypatch.setattr(peakfind, "coarse_scan", flat_top)
+        cfg = PeakSearchConfig(coarse_points=32)
+        row = compute_row(100.0, 1.5, Spectrum(), cfg, QuadratureSettings())
+        assert row.note == "unrefined: coarse scan not unimodal at the argmax"
+        assert row.refine_iters == 0
 
     def test_fig2_contains_divergent_first_point(self):
         values = {
@@ -207,6 +228,39 @@ class TestSweeps:
         trace = density_trace(config, 30.0, 1.0)
         assert len(trace) == 16
         assert all(d >= 0.0 for _, d in trace)
+
+    def test_density_trace_samples_the_peak_search_grid(self):
+        # the trace is the coarse scan of the row's own peak search
+        config = small_config(**{"lambda": "60", "w_ratio": "1.2"})
+        params = DimensionlessParams(W=1.2, lam=60.0)
+        lo, hi = default_window(phase_time_moments(moments_closed_form(params), params))
+        step = (hi - lo) / 31
+        trace = density_trace(config, 60.0, 1.2)
+        assert [tau for tau, _ in trace] == [lo + i * step for i in range(32)]
+        row, _ = run_single(config)
+        tau_argmax = max(trace, key=lambda s: s[1])[0]
+        assert abs(tau_argmax - row.tau_num) <= step
+
+    def test_single_trace_reuses_the_row_node_set(self, monkeypatch):
+        # --trace adds no second node set: the trace is the row's own scan
+        real_amplitude = wavepacket.exit_amplitude
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real_amplitude(*args)
+
+        monkeypatch.setattr(wavepacket, "exit_amplitude", counted)
+        config = small_config(**{"lambda": "60", "w_ratio": "1.2", "trace": "1"})
+        row, trace = run_single(config)
+        assert len(calls) == 1
+        assert trace == density_trace(config, 60.0, 1.2)
+        assert row.trace is trace and not row.note
+
+    def test_failed_single_row_has_no_trace(self):
+        config = small_config(**{"max_panels": "4", "trace": "1"})
+        row, trace = run_single(config)
+        assert row.note.startswith("failed:") and trace is None
 
     def test_fig1_matched_energy_series_flattens(self):
         # v(lam) increments shrink: oracle gives v(100) - v(200) = 0.0505

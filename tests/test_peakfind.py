@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from tunneltime import peakfind
 from tunneltime.peakfind import (
     PeakSearchConfig,
+    coarse_scan,
     default_window,
     full_report,
     peak_arrival,
@@ -11,6 +15,7 @@ from tunneltime.peakfind import (
 from tunneltime.quadrature import QuadratureSettings
 from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
+from tunneltime.wavepacket import density_at_exit
 
 # golden-refined 2e6-node trapezoid oracle peak times (kappa0 = 0.5, delta = 10)
 ORACLE_PEAKS = {
@@ -73,8 +78,52 @@ def test_window_hit_flagged_not_raised():
     params = DimensionlessParams(W=1.0, lam=100.0)
     cfg = PeakSearchConfig(tau_min=40.0, tau_max=80.0, coarse_points=32)
     result = peak_arrival(SPEC, params, cfg)
-    assert result.window_hit
+    assert result.window_hit and not result.refined
     assert result.tau_peak <= 40.0 + (80.0 - 40.0) / 31 * 1.5
+
+
+def test_non_unimodal_scan_returned_unrefined(monkeypatch):
+    # a flat top (tie at the argmax) is not a bracket: no refinement, and
+    # the result says so instead of passing as a refined peak
+    real_scan = peakfind.coarse_scan
+
+    def flat_top(*args):
+        scan = real_scan(*args)
+        dens = scan.densities.copy()
+        i = int(np.argmax(dens))
+        dens[i + 1] = dens[i]
+        return dataclasses.replace(scan, densities=dens)
+
+    monkeypatch.setattr(peakfind, "coarse_scan", flat_top)
+    params = DimensionlessParams(W=1.0, lam=100.0)
+    cfg = PeakSearchConfig(coarse_points=64)
+    result = peak_arrival(SPEC, params, cfg)
+    scan = real_scan(SPEC, params, cfg, None)
+    assert not result.window_hit and not result.refined
+    assert result.refine_iters == 0
+    assert result.tau_peak == scan.taus[int(np.argmax(scan.densities))]
+
+
+@pytest.mark.parametrize("w,lam", [(1.0, 100.0), (1.5, 100.0), (1.0, 500.0)])
+def test_engine_density_matches_adaptive_quadrature(w, lam):
+    # one node set for the whole window against a fresh adaptive quadrature
+    # per tau, at both window ends and the middle
+    params = DimensionlessParams(W=w, lam=lam)
+    scan = coarse_scan(SPEC, params)
+    phi = scan.amplitude
+    peak = phi.unscale(scan.densities.max())
+    for tau in (scan.taus[0], scan.taus[len(scan.taus) // 2], scan.taus[-1]):
+        engine = phi.unscale(abs(phi(tau)) ** 2)
+        assert abs(engine - density_at_exit(SPEC, params, tau)) <= 1e-8 * peak
+
+
+def test_coarse_scan_recurrence_matches_direct_exponential():
+    # 255 phase-advance multiplies against one exponential at the last tau
+    params = DimensionlessParams(W=1.0, lam=500.0)
+    scan = coarse_scan(SPEC, params)
+    direct = abs(scan.amplitude(scan.taus[-1])) ** 2
+    assert scan.densities[-1] == pytest.approx(direct, rel=1e-12)
+    assert scan.amplitude.panels == peak_arrival(SPEC, params).panels_max
 
 
 def test_monotone_peak_growth_and_velocity_trend():

@@ -7,6 +7,7 @@ from scipy.special import erf
 from tunneltime.quadrature import (
     QuadratureError,
     QuadratureSettings,
+    adaptive_panels,
     integrate_adaptive,
 )
 
@@ -73,3 +74,18 @@ def test_panel_count_reported():
     res = integrate_adaptive(lambda x: x, 0.0, 1.0, initial_panels=4)
     assert res.panels >= 4
     assert res.evaluations >= res.panels * 32
+
+
+def test_accepted_panels_tile_interval_and_integrate_f():
+    def f(x):
+        return np.exp(1j * 37.0 * x) + np.sqrt(1.0 - x)  # chirp-like plus a cusp
+
+    exact = (np.exp(37j) - 1.0) / 37j + 2.0 / 3.0
+    panels = adaptive_panels(f, 0.0, 1.0, initial_panels=8)
+    order = np.argsort(panels.lo)
+    assert panels.lo[order][0] == 0.0 and panels.hi[order][-1] == 1.0
+    assert np.array_equal(panels.lo[order][1:], panels.hi[order][:-1])
+    x, w = panels.nodes()
+    assert x.size == panels.lo.size * 32
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert np.sum(w * f(x)) == pytest.approx(exact, rel=1e-8)
