@@ -1,13 +1,16 @@
-"""Experiment pipelines: barrier-width table, velocity sweeps, single runs.
+"""Experiment pipelines: one (lambda, W) grid per experiment, one row per point.
 
-Configs are flat ``key = value`` text files ('#' comments, comma-separated
-lists); every key is optional and defaults to the reference configuration
-(kappa0 = 0.5, delta = 10, and the grids below).  Output is deterministic
-CSV: unit-annotated header, 10 significant digits, empty cells for
-undefined entries (never 0), one note column for divergences and per-row
-failures.  Sweep points are independent pure computations and run in a
-process pool; assembly stays in grid order so identical configs give
-byte-identical files.
+Every experiment runs the same pipeline: the W-major product of its lambda
+and w_ratio grids, one `compute_row` per point, serially or in a process
+pool; `single` is the one-point grid and may also return the exit-density
+trace of its row.  The experiments differ only in their default grids
+(`_GRIDS`).  Configs are flat ``key = value`` text files ('#' comments,
+comma-separated lists); every key is optional and defaults to the
+reference configuration (kappa0 = 0.5, delta = 10, and the default grids).
+Output is deterministic CSV: unit-annotated header, 10 significant digits,
+empty cells for undefined entries (never 0), one note column for
+divergences and per-row failures.  Assembly stays in grid order so
+identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,17 +27,26 @@ from .quadrature import QuadratureError, QuadratureSettings
 from .spectrum import Spectrum
 from .units import DimensionlessParams
 
-EXPERIMENTS = ("table1", "fig1", "fig2", "single")
-
 #: Environment variable overriding the worker-count default.
 WORKERS_ENV = "TUNNELTIME_WORKERS"
 
-_TABLE1_LAMBDAS = tuple(float(v) for v in range(50, 501, 50))
-_FIG1_LAMBDAS = tuple(float(v) for v in range(20, 201, 20))
-# Declared barrier/cutoff ratios V0/E_M for the velocity sweep (the source
-# figure does not state them); stored as W = sqrt(V0/E_M).
-_FIG1_W = tuple(math.sqrt(r) for r in (1.0, 1.1, 1.3, 1.5))
 _FIG2_POINTS = 21
+_FIG2_STEP = 1.0 / (_FIG2_POINTS - 1)
+
+# Default (lambda, w_ratio) grids.  fig1's barrier/cutoff ratios V0/E_M are
+# declared here (the source figure does not state them); grids hold
+# W = sqrt(V0/E_M).
+_GRIDS: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {
+    "table1": (tuple(float(v) for v in range(50, 501, 50)), (1.0,)),
+    "fig1": (
+        tuple(float(v) for v in range(20, 201, 20)),
+        tuple(math.sqrt(r) for r in (1.0, 1.1, 1.3, 1.5)),
+    ),
+    "fig2": ((100.0,), tuple(1.0 + i * _FIG2_STEP for i in range(_FIG2_POINTS))),
+    "single": ((100.0,), (1.0,)),
+}
+
+EXPERIMENTS = tuple(_GRIDS)
 
 CSV_HEADER = (
     "lambda[k_M*L]",
@@ -79,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError("lambda values must be >= 0")
         if any(w < 1.0 for w in self.w_ratios):
             raise ConfigError("w_ratio values must be >= 1 (pure tunneling)")
+        if self.experiment in ("fig2", "single") and len(self.lambdas) > 1:
+            raise ConfigError(f"{self.experiment} takes one lambda value")
+        if self.experiment == "single" and len(self.w_ratios) > 1:
+            raise ConfigError("single takes one w_ratio value")
 
     def spectrum(self) -> Spectrum:
         return Spectrum(kappa0=self.kappa0, delta=self.delta)
@@ -126,17 +142,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric list {text!r}: {exc}") from None
 
 
-def _default_grids(experiment: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if experiment == "table1":
-        return _TABLE1_LAMBDAS, (1.0,)
-    if experiment == "fig1":
-        return _FIG1_LAMBDAS, _FIG1_W
-    if experiment == "fig2":
-        step = 1.0 / (_FIG2_POINTS - 1)
-        return (100.0,), tuple(1.0 + i * step for i in range(_FIG2_POINTS))
-    return (100.0,), (1.0,)  # single
-
-
 def build_config(
     experiment: str,
     file_values: dict[str, str] | None = None,
@@ -174,7 +179,9 @@ def build_config(
     def as_opt_float(raw) -> float | None:
         return None if str(raw).strip() == "" else float(raw)
 
-    lam_default, w_default = _default_grids(experiment)
+    if experiment not in _GRIDS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    lam_default, w_default = _GRIDS[experiment]
     try:
         lambdas = get("lambda", lam_default, as_grid)
         w_ratios = get("w_ratio", w_default, as_grid)
@@ -276,44 +283,6 @@ def _compute_row_task(task) -> ResultRow:
     return compute_row(*task)
 
 
-def _run_grid(config: ExperimentConfig, points: list[tuple[float, float]]) -> list[ResultRow]:
-    spec = config.spectrum()
-    tasks = [(lam, w, spec, config.peak, config.quadrature) for lam, w in points]
-    workers = _worker_count(config, len(tasks))
-    if workers == 1:
-        return [_compute_row_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_row_task, tasks))
-
-
-def run_table1(config: ExperimentConfig) -> list[ResultRow]:
-    """Peak time, transit velocity and analytic/numeric ratio per width."""
-    points = [(lam, w) for w in config.w_ratios for lam in config.lambdas]
-    return _run_grid(config, points)
-
-
-def run_fig1(config: ExperimentConfig) -> list[ResultRow]:
-    """Transit velocity vs width, one series per barrier/cutoff ratio."""
-    points = [(lam, w) for w in config.w_ratios for lam in config.lambdas]
-    return _run_grid(config, points)
-
-
-def run_fig2(config: ExperimentConfig) -> list[ResultRow]:
-    """The three phase times vs sqrt(V0/E_M) at fixed width."""
-    lam = config.lambdas[0]
-    points = [(lam, w) for w in config.w_ratios]
-    return _run_grid(config, points)
-
-
-def run_single(config: ExperimentConfig):
-    """One grid point; optionally also the exit-density time series."""
-    lam, w = config.lambdas[0], config.w_ratios[0]
-    row = compute_row(
-        lam, w, config.spectrum(), config.peak, config.quadrature, trace=config.trace
-    )
-    return row, row.trace
-
-
 def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[float, float]]:
     """Exit density sampled on the coarse search grid (monotone in tau)."""
     params = DimensionlessParams(W=w, lam=lam)
@@ -409,12 +378,22 @@ def write_plot_script(path: Path, csv_path: Path, experiment: str) -> None:
 
 
 def run_experiment(config: ExperimentConfig):
-    """Dispatch by experiment id; returns (rows, trace_or_None)."""
-    if config.experiment == "table1":
-        return run_table1(config), None
-    if config.experiment == "fig1":
-        return run_fig1(config), None
-    if config.experiment == "fig2":
-        return run_fig2(config), None
-    row, trace = run_single(config)
-    return [row], trace
+    """Run the config's grid, W-major; returns (rows, trace_or_None).
+
+    The trace is the exit-density series of the `single` row when
+    config.trace is set; other experiments return None.
+    """
+    spec = config.spectrum()
+    trace = config.trace and config.experiment == "single"
+    tasks = [
+        (lam, w, spec, config.peak, config.quadrature, trace)
+        for w in config.w_ratios
+        for lam in config.lambdas
+    ]
+    workers = _worker_count(config, len(tasks))
+    if workers == 1:
+        rows = [_compute_row_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_compute_row_task, tasks))
+    return rows, rows[0].trace

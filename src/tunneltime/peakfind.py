@@ -14,7 +14,7 @@ the argmax untouched and keeps opaque configurations representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,17 +67,23 @@ def default_window(tau_reference: float) -> tuple[float, float]:
     return 0.1 * tau_reference, 5.0 * tau_reference + 10.0
 
 
+def _fill_window(config: PeakSearchConfig, tau_reference: float) -> PeakSearchConfig:
+    """config with unset window bounds taken from default_window(tau_reference)."""
+    auto = default_window(tau_reference)
+    return replace(
+        config,
+        tau_min=auto[0] if config.tau_min is None else config.tau_min,
+        tau_max=auto[1] if config.tau_max is None else config.tau_max,
+    )
+
+
 def _resolve_window(
     config: PeakSearchConfig, params: DimensionlessParams
 ) -> tuple[float, float]:
-    if config.tau_min is not None and config.tau_max is not None:
-        return config.tau_min, config.tau_max
-    moments = phasetime.moments_closed_form(params)
-    auto = default_window(phasetime.phase_time_moments(moments, params))
-    return (
-        auto[0] if config.tau_min is None else config.tau_min,
-        auto[1] if config.tau_max is None else config.tau_max,
-    )
+    if config.tau_min is None or config.tau_max is None:
+        moments = phasetime.moments_closed_form(params)
+        config = _fill_window(config, phasetime.phase_time_moments(moments, params))
+    return config.tau_min, config.tau_max
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,8 @@ def full_report(
     moments = phasetime.moments_closed_form(params)
     tau_new = phasetime.phase_time_moments(moments, params)
     tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
+    # the window comes from the tau_new above, so the moments run once
+    config = _fill_window(config or PeakSearchConfig(), tau_new)
     peak = peak_arrival(spec, params, config, settings)
     v_num = phasetime.transit_velocity(peak.tau_peak, params)
     v_ana = phasetime.transit_velocity(tau_new, params)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 # Evaluation chunk cap: panels * nodes above this are processed in blocks.
 _CHUNK = 1 << 21
@@ -51,7 +50,7 @@ class QuadratureResult:
 
 @lru_cache(maxsize=8)
 def _gl_nodes(n: int):
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 

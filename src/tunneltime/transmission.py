@@ -11,9 +11,10 @@ module returns the modulus |T| and the barrier phase
     phi = arctan[(2k^2 - w^2) tanh(qL) / (2kq)].
 
 Everything is expressed in cutoff units: kappa = k/k_M, W = w/k_M,
-u = qL = lam * sqrt(W^2 - kappa^2).  The k = w point (q -> 0) is a removable
-singularity and is evaluated by series; large qL uses exp-scaled hyperbolics
-so that lam up to several hundred stays finite in double precision.
+u = qL = lam * sqrt(W^2 - kappa^2).  One exp-scaled formula covers every u:
+the hyperbolics are divided by e^u/2, so lam up to several hundred stays
+finite in double precision, and sinh(u)/u is written with expm1, which
+stays regular through the removable singularity at k = w (q -> 0).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import numpy as np
 
 from .units import DimensionlessParams
 
-# Branch thresholds for u = qL: 3-term Taylor below _U_SERIES, exp-scaled
-# hyperbolics above _U_SCALED (cosh(2*30) is still comfortably finite).
-_U_SERIES = 1e-4
+# Above this u = qL, stationary_time_full divides out e^{2u} (cosh(2*30) is
+# still comfortably finite).
 _U_SCALED = 30.0
 
 
@@ -49,42 +49,23 @@ class TransmissionValue:
 def _kernel(u: np.ndarray, b: np.ndarray, log_scale: float = 0.0):
     """Modulus (times e^{log_scale}) and phase from u = qL and b = (2k^2-w^2)L/(2k).
 
-    The identities used are  c*sinh(u) = b*(sinh(u)/u)  and
-    c*tanh(u) = b*(tanh(u)/u)  with c = (2k^2-w^2)/(2kq), which stay regular
-    through u = 0.  Caller guarantees log_scale <= u wherever u > _U_SCALED.
+    With c = (2k^2-w^2)/(2kq), |T| = 1/sqrt(cosh^2 u + (c sinh u)^2) and
+    phi = arctan(c tanh u).  Let eps = e^{-2u} and s = (1 - eps)/u (s = 2 at
+    u = 0); then 2 e^{-u} cosh u = 1 + eps and 2 e^{-u} c sinh u = b s, so
+
+        |T| e^{log_scale} = 2 e^{log_scale - u} / sqrt((1 + eps)^2 + (b s)^2),
+        phi = arctan(b s / (1 + eps)).
+
+    Nothing overflows while log_scale <= u.
     """
     u = np.asarray(u, dtype=float)
     b = np.asarray(b, dtype=float)
-    small = u < _U_SERIES
-    big = u > _U_SCALED
-    mid = ~small & ~big
-
-    modulus = np.empty_like(u)
-    phase = np.empty_like(u)
-
-    if np.any(small):
-        us, bs = u[small], b[small]
-        u2 = us * us
-        sinhc = 1.0 + u2 / 6.0 + u2 * u2 / 120.0
-        tanhc = 1.0 - u2 / 3.0 + 2.0 * u2 * u2 / 15.0
-        modulus[small] = math.exp(log_scale) / np.sqrt(
-            np.cosh(us) ** 2 + (bs * sinhc) ** 2
-        )
-        phase[small] = np.arctan(bs * tanhc)
-    if np.any(mid):
-        um, bm = u[mid], b[mid]
-        modulus[mid] = math.exp(log_scale) / np.sqrt(
-            np.cosh(um) ** 2 + (bm * np.sinh(um) / um) ** 2
-        )
-        phase[mid] = np.arctan(bm * np.tanh(um) / um)
-    if np.any(big):
-        ub, bb = u[big], b[big]
-        eps = np.exp(-2.0 * ub)
-        modulus[big] = 2.0 * np.exp(log_scale - ub) / np.sqrt(
-            (1.0 + eps) ** 2 + (bb / ub) ** 2 * (1.0 - eps) ** 2
-        )
-        phase[big] = np.arctan(bb * np.tanh(ub) / ub)
-    return modulus, phase
+    em = np.expm1(-2.0 * u)  # eps - 1, without cancellation as u -> 0
+    s = np.divide(-em, u, out=np.full_like(u, 2.0), where=u > 0.0)
+    bs = b * s
+    c = 2.0 + em  # 1 + eps
+    modulus = 2.0 * np.exp(log_scale - u) / np.sqrt(c * c + bs * bs)
+    return modulus, np.arctan(bs / c)
 
 
 def _u_b(kappa: np.ndarray, params: DimensionlessParams):

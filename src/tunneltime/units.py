@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _const
-
-#: 1 eV in joule, 1 angstrom in metre (SI presets for the CLI boundary).
-EV = _const.electron_volt
+#: SI presets for the physical boundary: 1 eV in joule and hbar = h/(2 pi)
+#: (e and h are exact since the 2019 SI), 1 angstrom in metre, and the
+#: electron mass in kilogram (CODATA 2022).
+EV = 1.602176634e-19
 ANGSTROM = 1e-10
-ELECTRON_MASS = _const.m_e
-HBAR = _const.hbar
+ELECTRON_MASS = 9.1093837139e-31
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

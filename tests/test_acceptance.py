@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltime.experiments import build_config, run_fig2, run_table1
+from tunneltime.experiments import build_config, run_experiment
 from tunneltime.peakfind import peak_arrival
 from tunneltime.phasetime import (
     model_density,
@@ -55,13 +55,13 @@ def check(criterion: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def table1_run():
     t0 = time.monotonic()
-    rows = run_table1(build_config("table1"))
+    rows, _ = run_experiment(build_config("table1"))
     return rows, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def fig2_rows():
-    return run_fig2(build_config("fig2"))
+    return run_experiment(build_config("fig2"))[0]
 
 
 def test_criterion_1_table1_reproduction(table1_run):
@@ -181,7 +181,7 @@ def test_criterion_7_property_suite(table1_run):
     monotone = all(np.all(m2 < m1) for m1, m2 in zip(mods, mods[1:]))
     check("7.1 modulus bounded and monotone in width", bounded and monotone)
 
-    # removable singularity: both kernel branches vs high precision at u = 1e-8
+    # removable singularity: the kernel vs high precision at u = 1e-8 and 2e-4
     mp.mp.dps = 40
     b = 7.3
     mod_series = _kernel(np.array([1e-8]), np.array([b]))[0][0]

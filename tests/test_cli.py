@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from tunneltime.cli import main
 from tunneltime.experiments import read_rows
 
@@ -73,3 +80,31 @@ def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["single", "--lambda", "30"]) == 0
     assert (tmp_path / "single.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--lambda", "100,200"],
+        ["single", "--w-ratio", "1.0,1.5"],
+        ["fig2", "--lambda", "50,100"],
+    ],
+)
+def test_grid_the_experiment_cannot_run_is_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "rejected.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, tunneltime.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -15,9 +15,6 @@ from tunneltime.experiments import (
     read_config_file,
     read_rows,
     run_experiment,
-    run_fig2,
-    run_single,
-    run_table1,
     write_rows,
     write_trace,
 )
@@ -96,7 +93,7 @@ class TestConfigParsing:
 class TestRows:
     def test_single_row_matches_reference(self):
         config = small_config(**{"lambda": "100", "coarse_points": "128"})
-        row, trace = run_single(config)
+        (row,), trace = run_experiment(config)
         assert trace is None
         assert row.tau_spm is None and row.note.startswith("tau_spm diverges")
         assert row.tau_num == pytest.approx(21.41, rel=0.01)
@@ -140,7 +137,7 @@ class TestRows:
             "workers": "1",
             "rel_tol": "1e-7",
         }
-        rows = run_fig2(build_config("fig2", values))
+        rows, _ = run_experiment(build_config("fig2", values))
         assert rows[0].tau_spm is None
         assert rows[0].note.startswith("tau_spm diverges")
         assert rows[1].tau_spm == pytest.approx(1.0 / math.sqrt(1.5**2 - 1.0), rel=1e-12)
@@ -150,7 +147,7 @@ class TestRows:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         config = small_config()
-        row, _ = run_single(config)
+        (row,), _ = run_experiment(config)
         path = tmp_path / "rows.csv"
         write_rows(path, [row])
         back = read_rows(path)
@@ -162,7 +159,7 @@ class TestCsv:
 
     def test_undefined_serialized_as_empty_cell(self, tmp_path):
         config = small_config()
-        row, _ = run_single(config)
+        (row,), _ = run_experiment(config)
         path = tmp_path / "rows.csv"
         write_rows(path, [row])
         lines = path.read_text().splitlines()
@@ -173,8 +170,8 @@ class TestCsv:
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()
-        row, _ = run_single(config)
-        row2, _ = run_single(config)
+        (row,), _ = run_experiment(config)
+        (row2,), _ = run_experiment(config)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rows(p1, [row])
         write_rows(p2, [row2])
@@ -189,7 +186,7 @@ class TestCsv:
             "trace": "true",
         }
         config = build_config("single", values)
-        row, trace = run_single(config)
+        (row,), trace = run_experiment(config)
         assert trace is not None and len(trace) == 64
         taus = [t for t, _ in trace]
         assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -205,7 +202,7 @@ class TestCsv:
 class TestSweeps:
     def test_table1_subgrid(self):
         values = {"lambda": "50, 100", "workers": "1", "coarse_points": "64"}
-        rows = run_table1(build_config("table1", values))
+        rows, _ = run_experiment(build_config("table1", values))
         assert [r.lam for r in rows] == [50.0, 100.0]
         assert rows[0].tau_num == pytest.approx(10.20, rel=0.01)
         assert rows[1].tau_num == pytest.approx(21.41, rel=0.01)
@@ -214,8 +211,8 @@ class TestSweeps:
         if (os.cpu_count() or 1) < 2:
             pytest.skip("single-cpu runner")
         values = {"lambda": "30, 60", "coarse_points": "32"}
-        serial = run_table1(build_config("table1", dict(values, workers="1")))
-        parallel = run_table1(build_config("table1", dict(values, workers="2")))
+        serial, _ = run_experiment(build_config("table1", dict(values, workers="1")))
+        parallel, _ = run_experiment(build_config("table1", dict(values, workers="2")))
         assert [r.tau_num for r in serial] == [r.tau_num for r in parallel]
 
     def test_run_experiment_dispatch(self):
@@ -237,7 +234,7 @@ class TestSweeps:
         step = (hi - lo) / 31
         trace = density_trace(config, 60.0, 1.2)
         assert [tau for tau, _ in trace] == [lo + i * step for i in range(32)]
-        row, _ = run_single(config)
+        (row,), _ = run_experiment(config)
         tau_argmax = max(trace, key=lambda s: s[1])[0]
         assert abs(tau_argmax - row.tau_num) <= step
 
@@ -252,14 +249,14 @@ class TestSweeps:
 
         monkeypatch.setattr(wavepacket, "exit_amplitude", counted)
         config = small_config(**{"lambda": "60", "w_ratio": "1.2", "trace": "1"})
-        row, trace = run_single(config)
+        (row,), trace = run_experiment(config)
         assert len(calls) == 1
         assert trace == density_trace(config, 60.0, 1.2)
         assert row.trace is trace and not row.note
 
     def test_failed_single_row_has_no_trace(self):
         config = small_config(**{"max_panels": "4", "trace": "1"})
-        row, trace = run_single(config)
+        (row,), trace = run_experiment(config)
         assert row.note.startswith("failed:") and trace is None
 
     def test_fig1_matched_energy_series_flattens(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tunneltime import peakfind
+from tunneltime import peakfind, phasetime
 from tunneltime.peakfind import (
     PeakSearchConfig,
     coarse_scan,
@@ -170,3 +170,21 @@ class TestFullReport:
         settings = QuadratureSettings(nodes_per_panel=48)
         report, _ = full_report(SPEC, params, settings=settings)
         assert report.tau_numeric == pytest.approx(10.2013, rel=1e-3)
+
+    @pytest.mark.parametrize("tau_max", [None, 40.0])
+    def test_moments_run_once_and_window_unchanged(self, monkeypatch, tau_max):
+        # the peak window is filled from full_report's own tau_new
+        params = DimensionlessParams(W=1.2, lam=60.0)
+        config = PeakSearchConfig(coarse_points=32, tau_max=tau_max)
+        window = coarse_scan(SPEC, params, config).taus
+        real_moments = phasetime.moments_closed_form
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real_moments(*args)
+
+        monkeypatch.setattr(phasetime, "moments_closed_form", counted)
+        _, peak = full_report(SPEC, params, config)
+        assert len(calls) == 1
+        assert peak.scan.taus == window

@@ -21,9 +21,12 @@ def test_settings_validation():
         QuadratureSettings(rel_tol=0.0)
 
 
-def test_polynomial_exact():
-    res = integrate_adaptive(lambda x: x**2, 0.0, 1.0)
-    assert res.value.real == pytest.approx(1.0 / 3.0, rel=1e-14)
+@pytest.mark.parametrize("n", [8, 32, 64, 128])
+def test_polynomial_exact(n):
+    # an n-node Gauss-Legendre panel integrates degree 2n - 1 exactly
+    settings = QuadratureSettings(nodes_per_panel=n)
+    res = integrate_adaptive(lambda x: x ** (2 * n - 1), 0.0, 1.0, settings)
+    assert res.value.real == pytest.approx(1.0 / (2 * n), rel=1e-14)
     assert res.value.imag == 0.0
 
 

@@ -58,9 +58,10 @@ def test_removable_singularity_at_cutoff():
     assert tv.phase == pytest.approx(math.atan(50.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("u", [1e-8, 1e-6, 2e-5, 9e-5, 1.1e-4, 1e-3])
+@pytest.mark.parametrize("u", [1e-8, 1e-6, 2e-5, 9e-5, 1.1e-4, 1e-3, 29.9, 30.1, 300.0])
 def test_branch_continuity_through_small_qL(u):
-    # series branch and direct branch agree to 1e-10 through the switch at 1e-4
+    # one formula for every u: high-precision agreement to 1e-10 through
+    # q -> 0, around u = 30 and deep in the opaque regime
     b = 0.73
     mod, ph = _kernel(np.array([u]), np.array([b]))
     ref_mod = float(1 / mp.sqrt(mp.cosh(u) ** 2 + (b * mp.sinh(u) / u) ** 2))
