@@ -87,14 +87,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.lambdas or not self.w_ratios:
             raise ConfigError("lambda and w_ratio grids must be non-empty")
-        if any(lam < 0.0 for lam in self.lambdas):
-            raise ConfigError("lambda values must be >= 0")
-        if any(w < 1.0 for w in self.w_ratios):
-            raise ConfigError("w_ratio values must be >= 1 (pure tunneling)")
+        # `not (... < inf)` also rejects nan, which fails every comparison
+        if not all(0.0 <= lam < math.inf for lam in self.lambdas):
+            raise ConfigError("lambda values must be finite and >= 0")
+        if not all(1.0 <= w < math.inf for w in self.w_ratios):
+            raise ConfigError("w_ratio values must be finite and >= 1 (pure tunneling)")
         if self.experiment in ("fig2", "single") and len(self.lambdas) > 1:
             raise ConfigError(f"{self.experiment} takes one lambda value")
         if self.experiment == "single" and len(self.w_ratios) > 1:
             raise ConfigError("single takes one w_ratio value")
+        try:
+            self.spectrum()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.workers <= 0:
+            _env_workers()  # a bad environment value is a config error too
 
     def spectrum(self) -> Spectrum:
         return Spectrum(kappa0=self.kappa0, delta=self.delta)
@@ -223,11 +230,19 @@ def build_config(
         raise ConfigError(str(exc)) from None
 
 
+def _env_workers() -> int:
+    """Worker count from WORKERS_ENV, else the available parallelism."""
+    env = os.environ.get(WORKERS_ENV, "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+
+
 def _worker_count(config: ExperimentConfig, n_tasks: int) -> int:
-    workers = config.workers
-    if workers <= 0:
-        env = os.environ.get(WORKERS_ENV, "")
-        workers = int(env) if env.strip() else (os.cpu_count() or 1)
+    workers = config.workers if config.workers > 0 else _env_workers()
     return max(1, min(workers, n_tasks))
 
 

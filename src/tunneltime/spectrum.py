@@ -12,6 +12,7 @@ mean of kappa; in the opaque limit it collapses onto the cutoff as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class Spectrum:
     def __post_init__(self) -> None:
         if not 0.0 < self.kappa0 < 1.0:
             raise ValueError(f"kappa0 must lie in (0, 1), got {self.kappa0}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.norm < 0.0:
             raise ValueError(f"norm must be non-negative, got {self.norm}")
 

@@ -15,9 +15,14 @@ sample adaptively; its initial panel count grows linearly with |tau| to
 resolve the chirp e^{-i kappa^2 tau} before refinement takes over.
 `exit_amplitude` serves many times at the exit xi = 0: it refines the
 tau-independent factor g |T| e^{i phi} once, on panels seeded for the
-chirp at the largest |tau| (and therefore at every smaller one), and then
+chirp at the largest |tau| (and therefore at every smaller one), keeps the
+nodes with |amp_j| > eps * sum|amp| / N (eps the double-precision machine
+epsilon, N the node count), and then
 Phi_T(0, tau) = sum_j amp_j e^{-i kappa_j^2 tau} costs one exponential per
-node and time.
+kept node and time.  The dropped terms move Phi_T by at most
+eps * sum|amp| at any tau, and |Phi_T| ~ sum|amp| at the peak.  Near
+E_M = V0 the barrier filters the packet onto a thin strip below the cutoff,
+so few nodes stay (314 of 23552 at W = 1, lam = 500).
 """
 
 from __future__ import annotations
@@ -80,8 +85,10 @@ def transmitted_integral(
 class ExitAmplitude:
     """Phi_T(0, tau) * e^{log_scale} on one composite Gauss-Legendre node set.
 
-    amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale};
-    `panels` is the size of the node set the refinement chose.
+    amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}
+    on the kept nodes of the composite rule (|amp_j| > eps * sum|amp| / N,
+    so Phi moves by at most eps * sum|amp|); `panels` is the size of the
+    node set the refinement chose, before any node was dropped.
     """
 
     kappa2: np.ndarray
@@ -122,9 +129,14 @@ def exit_amplitude(
         amplitude, 0.0, 1.0, settings, initial_panels=_initial_panels(0.0, time_bound)
     )
     kappa, weights = panels.nodes()
+    amp = weights * amplitude(kappa)
+    # the dropped terms change Phi at any tau by at most eps * sum|amp|
+    mag = np.abs(amp)
+    keep = mag > np.finfo(float).eps * mag.sum() / mag.size
+    kappa = kappa[keep]
     return ExitAmplitude(
         kappa2=kappa * kappa,
-        amp=weights * amplitude(kappa),
+        amp=amp[keep],
         panels=panels.lo.size,
         log_scale=log_scale,
     )

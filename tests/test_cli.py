@@ -88,12 +88,29 @@ def test_default_output_name(tmp_path, monkeypatch):
         ["single", "--lambda", "100,200"],
         ["single", "--w-ratio", "1.0,1.5"],
         ["fig2", "--lambda", "50,100"],
+        ["single", "--kappa0", "1.5"],
+        ["single", "--kappa0", "nan"],
+        ["single", "--delta", "-1"],
+        ["single", "--delta", "inf"],
+        ["single", "--lambda", "nan"],
+        ["single", "--lambda", "inf"],
+        ["single", "--lambda", "-1"],
+        ["single", "--w-ratio", "nan"],
+        ["table1", "--lambda", "50,inf"],
     ],
 )
 def test_grid_the_experiment_cannot_run_is_rejected(tmp_path, capsys, argv):
     out = tmp_path / "rejected.csv"
     assert main([*argv, "--out", str(out)]) == 1
     assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_worker_count_in_environment_is_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TUNNELTIME_WORKERS", "abc")
+    out = tmp_path / "rejected.csv"
+    assert main(["table1", "--lambda", "30", "--out", str(out)]) == 1
+    assert "invalid config: TUNNELTIME_WORKERS" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltime import peakfind, phasetime
+from tunneltime import peakfind, phasetime, transmission, wavepacket
+from tunneltime import spectrum as spectrum_mod
 from tunneltime.peakfind import (
     PeakSearchConfig,
     coarse_scan,
@@ -12,7 +14,7 @@ from tunneltime.peakfind import (
     full_report,
     peak_arrival,
 )
-from tunneltime.quadrature import QuadratureSettings
+from tunneltime.quadrature import QuadratureSettings, adaptive_panels
 from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import density_at_exit
@@ -124,6 +126,77 @@ def test_coarse_scan_recurrence_matches_direct_exponential():
     direct = abs(scan.amplitude(scan.taus[-1])) ** 2
     assert scan.densities[-1] == pytest.approx(direct, rel=1e-12)
     assert scan.amplitude.panels == peak_arrival(SPEC, params).panels_max
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "w,lam", [(1.0, 50.0), (1.0, 100.0), (1.0, 500.0), (1.5, 100.0), (2.0, 100.0)]
+)
+def test_pruned_engine_within_eps_of_the_full_node_set(w, lam):
+    # the engine drops the nodes with |amp_j| <= eps * sum|amp| / N; against
+    # the composite rule on every node the refinement chose, that moves Phi
+    # by at most eps * sum|amp| at every tau
+    params = DimensionlessParams(W=w, lam=lam)
+    scan = coarse_scan(SPEC, params)
+    phi = scan.amplitude
+
+    def amplitude(kappa):
+        mod, phase = transmission.modulus_phase(kappa, params, log_scale=phi.log_scale)
+        return spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
+
+    seed = wavepacket._initial_panels(0.0, scan.taus[-1])
+    panels = adaptive_panels(amplitude, 0.0, 1.0, initial_panels=seed)
+    kappa, weights = panels.nodes()
+    kappa2, amp = kappa * kappa, weights * amplitude(kappa)
+    total = np.abs(amp).sum()
+    assert phi.panels == panels.lo.size
+    kept = np.isin(kappa2, phi.kappa2)
+    np.testing.assert_array_equal(amp[kept], phi.amp)  # a subset, bit for bit
+    assert np.abs(amp[~kept]).sum() <= EPS * total
+    # beyond the eps bound, the two sums (pairwise, up to 23552 terms) round
+    # differently, by at most log2(N) eps * sum|amp| each
+    rounding = 2.0 * math.log2(amp.size) * EPS * total
+    for tau in scan.taus:
+        full = np.sum(amp * np.exp(-1j * tau * kappa2))
+        assert abs(phi(tau) - full) <= EPS * total + rounding
+    if w == 2.0:
+        assert phi.amp.size == amp.size  # spread-out amplitude: nothing dropped
+    if lam == 500.0:
+        assert phi.amp.size <= 400 and phi.panels == 736
+
+
+def _exit_amplitude_mp(params: DimensionlessParams, tau: float) -> complex:
+    """Phi_T(0, tau) = Int_0^1 g / (cosh u - i c sinh u) e^{-i kappa^2 tau} at 30 digits."""
+    with mp.workdps(30):
+        W, lam = mp.mpf(params.W), mp.mpf(params.lam)
+        kappa0, delta = mp.mpf(SPEC.kappa0), mp.mpf(SPEC.delta)
+
+        def integrand(k):
+            u = lam * mp.sqrt(W * W - k * k)
+            b = (2 * k * k - W * W) * lam / (2 * k)  # c sinh u = b sinh(u) / u
+            c_sinh = b * (mp.sinh(u) / u if u else 1)
+            g = mp.exp(-((k - kappa0) ** 2) * delta * delta / 4)
+            return g / (mp.cosh(u) - 1j * c_sinh) * mp.expj(-k * k * tau)
+
+        # 56 even pieces for the chirp, graded toward the cutoff where
+        # |T| ~ e^{-lam sqrt(2 (1 - kappa))} lives at W = 1
+        split = {mp.mpf(i) / 56 for i in range(57)} | {1 - mp.mpf(10) ** -e for e in range(2, 8)}
+        return complex(mp.quad(integrand, sorted(split), method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("w,lam", [(1.0, 100.0), (1.5, 100.0)])
+def test_engine_against_mpmath_reference(w, lam):
+    params = DimensionlessParams(W=w, lam=lam)
+    peak = peak_arrival(SPEC, params)
+    phi = peak.scan.amplitude
+    unscale = math.exp(-phi.log_scale)
+    at_peak = _exit_amplitude_mp(params, peak.tau_peak)
+    far_end = peak.scan.taus[-1]
+    at_far_end = _exit_amplitude_mp(params, far_end)
+    assert abs(phi(peak.tau_peak) * unscale - at_peak) <= 1e-9 * abs(at_peak)
+    assert abs(phi(far_end) * unscale - at_far_end) <= 1e-9 * abs(at_peak)
 
 
 def test_monotone_peak_growth_and_velocity_trend():

@@ -36,6 +36,8 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(delta=0.0)
     with pytest.raises(ValueError):
+        Spectrum(delta=float("inf"))
+    with pytest.raises(ValueError):
         Spectrum(norm=-1.0)
 
 
