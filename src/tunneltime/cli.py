@@ -49,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="flat key = value config file")
-        p.add_argument("--lambda", dest="lam", help="comma-separated k_M*L grid")
-        p.add_argument("--w-ratio", dest="w_ratio", help="comma-separated sqrt(V0/E_M) grid")
+        p.add_argument("--lambda", help="comma-separated k_M*L grid")
+        p.add_argument("--w-ratio", help="comma-separated sqrt(V0/E_M) grid")
         p.add_argument("--kappa0", type=float, help="spectrum center k0/k_M")
         p.add_argument("--delta", type=float, help="spectrum localization k_M*d")
         p.add_argument("--out", type=Path, help="output CSV path")
@@ -70,17 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "lambda": args.lam,
-        "w_ratio": args.w_ratio,
-        "kappa0": args.kappa0,
-        "delta": args.delta,
-        "out": args.out,
-        "trace": args.trace,
-        "plot_script": args.plot_script,
-    }
-    return build_config(args.experiment, file_values, overrides)
+    # every other flag's dest is a config key; unset flags parse to None
+    overrides = vars(args)
+    path = overrides.pop("config")
+    file_values = read_config_file(path) if path else {}
+    return build_config(overrides.pop("experiment"), file_values, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

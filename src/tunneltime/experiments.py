@@ -5,12 +5,15 @@ and w_ratio grids, one `compute_row` per point, serially or in a process
 pool; `single` is the one-point grid and may also return the exit-density
 trace of its row.  The experiments differ only in their default grids
 (`_GRIDS`).  Configs are flat ``key = value`` text files ('#' comments,
-comma-separated lists); every key is optional and defaults to the
-reference configuration (kappa0 = 0.5, delta = 10, and the default grids).
-Output is deterministic CSV: unit-annotated header, 10 significant digits,
-empty cells for undefined entries (never 0), one note column for
-divergences and per-row failures.  Assembly stays in grid order so
-identical configs give byte-identical files.
+comma-separated lists); `_KEYS` maps each key to the dataclass field it
+sets, and every key is optional: an unset key keeps that field's default
+(the reference configuration) or, for the grids, the experiment's
+`_GRIDS` entry.  CLI flags are the same keys.  Each value is range-checked
+by the type that owns it.  Output is deterministic CSV laid out by
+`_COLUMNS`: unit-annotated header, 10 significant digits, empty cells for
+undefined entries (never 0), one note column for divergences and per-row
+failures.  Assembly stays in grid order so identical configs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -48,18 +51,39 @@ _GRIDS: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {
 
 EXPERIMENTS = tuple(_GRIDS)
 
-CSV_HEADER = (
-    "lambda[k_M*L]",
-    "w[sqrt(V0/E_M)]",
-    "tau_spm[hbar/E_M]",
-    "tau_new[hbar/E_M]",
-    "tau_num[hbar/E_M]",
-    "v_transit[sqrt(V0/2m)]",
-    "ratio_ana_num[%]",
-    "panels_max[count]",
-    "refine_iters[count]",
-    "note",
+
+def _as_bool(raw) -> bool:
+    if str(raw).lower() in ("1", "true", "yes", "on"):
+        return True
+    if str(raw).lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _as_grid(raw) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
+
+
+def _as_opt_float(raw) -> float | None:
+    return None if str(raw).strip() == "" else float(raw)
+
+
+#: CSV column header -> (ResultRow field, cell parser); one table drives
+#: CSV_HEADER, write_rows and read_rows.
+_COLUMNS = (
+    ("lambda[k_M*L]", "lam", float),
+    ("w[sqrt(V0/E_M)]", "w", float),
+    ("tau_spm[hbar/E_M]", "tau_spm", _as_opt_float),
+    ("tau_new[hbar/E_M]", "tau_new", _as_opt_float),
+    ("tau_num[hbar/E_M]", "tau_num", _as_opt_float),
+    ("v_transit[sqrt(V0/2m)]", "v_transit", _as_opt_float),
+    ("ratio_ana_num[%]", "ratio_ana_num", _as_opt_float),
+    ("panels_max[count]", "panels_max", int),
+    ("refine_iters[count]", "refine_iters", int),
+    ("note", "note", str),
 )
+
+CSV_HEADER = tuple(header for header, _, _ in _COLUMNS)
 
 TRACE_HEADER = ("tau[hbar/E_M]", "density[arb]")
 
@@ -87,19 +111,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.lambdas or not self.w_ratios:
             raise ConfigError("lambda and w_ratio grids must be non-empty")
-        # `not (... < inf)` also rejects nan, which fails every comparison
-        if not all(0.0 <= lam < math.inf for lam in self.lambdas):
-            raise ConfigError("lambda values must be finite and >= 0")
-        if not all(1.0 <= w < math.inf for w in self.w_ratios):
-            raise ConfigError("w_ratio values must be finite and >= 1 (pure tunneling)")
+        try:  # every grid point and the spectrum must be a valid model
+            for w in self.w_ratios:
+                for lam in self.lambdas:
+                    DimensionlessParams(W=w, lam=lam)
+            self.spectrum()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.experiment in ("fig2", "single") and len(self.lambdas) > 1:
             raise ConfigError(f"{self.experiment} takes one lambda value")
         if self.experiment == "single" and len(self.w_ratios) > 1:
             raise ConfigError("single takes one w_ratio value")
-        try:
-            self.spectrum()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.workers <= 0:
             _env_workers()  # a bad environment value is a config error too
 
@@ -117,13 +139,13 @@ class ResultRow:
 
     lam: float
     w: float
-    tau_spm: float | None
-    tau_new: float | None
-    tau_num: float | None
-    v_transit: float | None
-    ratio_ana_num: float | None
-    panels_max: int
-    refine_iters: int
+    tau_spm: float | None = None
+    tau_new: float | None = None
+    tau_num: float | None = None
+    v_transit: float | None = None
+    ratio_ana_num: float | None = None
+    panels_max: int = 0
+    refine_iters: int = 0
     note: str = ""
     trace: list[tuple[float, float]] | None = field(default=None, repr=False, compare=False)
 
@@ -142,11 +164,25 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from None
+#: Config key -> (dataclass, field, parser).  The defaults live on the
+#: dataclass fields, except the grids, which come from `_GRIDS`.
+_KEYS = {
+    "lambda": (ExperimentConfig, "lambdas", _as_grid),
+    "w_ratio": (ExperimentConfig, "w_ratios", _as_grid),
+    "kappa0": (ExperimentConfig, "kappa0", float),
+    "delta": (ExperimentConfig, "delta", float),
+    "nodes_per_panel": (QuadratureSettings, "nodes_per_panel", int),
+    "max_panels": (QuadratureSettings, "max_panels", int),
+    "rel_tol": (QuadratureSettings, "rel_tol", float),
+    "tau_min": (PeakSearchConfig, "tau_min", _as_opt_float),
+    "tau_max": (PeakSearchConfig, "tau_max", _as_opt_float),
+    "coarse_points": (PeakSearchConfig, "coarse_points", int),
+    "refine_tol": (PeakSearchConfig, "refine_tol", float),
+    "out": (ExperimentConfig, "out", Path),
+    "trace": (ExperimentConfig, "trace", _as_bool),
+    "plot_script": (ExperimentConfig, "plot_script", _as_bool),
+    "workers": (ExperimentConfig, "workers", int),
+}
 
 
 def build_config(
@@ -154,78 +190,35 @@ def build_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, object] | None = None,
 ) -> ExperimentConfig:
-    """Merge defaults, config-file values and CLI overrides into a config."""
+    """Merge defaults, config-file values and CLI overrides into a config.
+
+    An override of None leaves the key unset.
+    """
     values = dict(file_values or {})
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-
-    def get(key: str, default, conv):
-        if key not in values:
-            return default
-        raw = values.pop(key)
-        try:
-            return conv(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-
-    def as_bool(raw) -> bool:
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError("expected a boolean")
-
-    def as_grid(raw) -> tuple[float, ...]:
-        if isinstance(raw, (tuple, list)):
-            return tuple(float(v) for v in raw)
-        return _parse_floats(str(raw))
-
-    def as_opt_float(raw) -> float | None:
-        return None if str(raw).strip() == "" else float(raw)
-
+    values.update((key, val) for key, val in (overrides or {}).items() if val is not None)
     if experiment not in _GRIDS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    lam_default, w_default = _GRIDS[experiment]
+    lambdas, w_ratios = _GRIDS[experiment]
+    fields: dict[type, dict[str, object]] = {
+        ExperimentConfig: {"experiment": experiment, "lambdas": lambdas, "w_ratios": w_ratios},
+        QuadratureSettings: {},
+        PeakSearchConfig: {},
+    }
+    for key, (target, name, parse) in _KEYS.items():
+        if key in values:
+            raw = values.pop(key)
+            try:
+                fields[target][name] = parse(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+    if values:
+        raise ConfigError(f"unknown config keys: {sorted(values)}")
     try:
-        lambdas = get("lambda", lam_default, as_grid)
-        w_ratios = get("w_ratio", w_default, as_grid)
-        kappa0 = get("kappa0", 0.5, float)
-        delta = get("delta", 10.0, float)
-        quadrature = QuadratureSettings(
-            nodes_per_panel=get("nodes_per_panel", 32, int),
-            max_panels=get("max_panels", 4096, int),
-            rel_tol=get("rel_tol", 1e-8, float),
-        )
-        peak = PeakSearchConfig(
-            tau_min=get("tau_min", None, as_opt_float),
-            tau_max=get("tau_max", None, as_opt_float),
-            coarse_points=get("coarse_points", 256, int),
-            refine_tol=get("refine_tol", 1e-4, float),
-        )
-        out = get("out", None, lambda raw: Path(raw))
-        trace = get("trace", False, as_bool)
-        plot_script = get("plot_script", False, as_bool)
-        workers = get("workers", 0, int)
-        if values:
-            raise ConfigError(f"unknown config keys: {sorted(values)}")
         return ExperimentConfig(
-            experiment=experiment,
-            lambdas=lambdas,
-            w_ratios=w_ratios,
-            kappa0=kappa0,
-            delta=delta,
-            quadrature=quadrature,
-            peak=peak,
-            out=out,
-            trace=trace,
-            plot_script=plot_script,
-            workers=workers,
+            quadrature=QuadratureSettings(**fields[QuadratureSettings]),
+            peak=PeakSearchConfig(**fields[PeakSearchConfig]),
+            **fields[ExperimentConfig],
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -266,11 +259,7 @@ def compute_row(
         params = DimensionlessParams(W=w, lam=lam)
         report, peak = full_report(spec, params, peak_config, settings)
     except (QuadratureError, ValueError) as exc:
-        return ResultRow(
-            lam=lam, w=w, tau_spm=None, tau_new=None, tau_num=None,
-            v_transit=None, ratio_ana_num=None, panels_max=0, refine_iters=0,
-            note=f"failed: {exc}",
-        )
+        return ResultRow(lam=lam, w=w, note=f"failed: {exc}")
     # the peak-search note goes first: the CLI counts failed rows by prefix
     notes = []
     if peak.window_hit:
@@ -304,67 +293,37 @@ def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[
     return coarse_scan(config.spectrum(), params, config.peak, config.quadrature).trace()
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.10g}"
+def _cell(value: float | int | str | None) -> str:
+    if value is None:
+        return ""
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def write_rows(path: str | Path, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    _fmt(r.lam),
-                    _fmt(r.w),
-                    _fmt(r.tau_spm),
-                    _fmt(r.tau_new),
-                    _fmt(r.tau_num),
-                    _fmt(r.v_transit),
-                    _fmt(r.ratio_ana_num),
-                    str(r.panels_max),
-                    str(r.refine_iters),
-                    r.note,
-                ]
-            )
+        writer.writerows([_cell(getattr(r, name)) for _, name, _ in _COLUMNS] for r in rows)
 
 
 def read_rows(path: str | Path) -> list[ResultRow]:
     """Parse a results CSV back into rows (round-trip of write_rows)."""
-
-    def opt(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
-
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
+        if tuple(next(reader)) != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header in {path}")
-        for cells in reader:
-            rows.append(
-                ResultRow(
-                    lam=float(cells[0]),
-                    w=float(cells[1]),
-                    tau_spm=opt(cells[2]),
-                    tau_new=opt(cells[3]),
-                    tau_num=opt(cells[4]),
-                    v_transit=opt(cells[5]),
-                    ratio_ana_num=opt(cells[6]),
-                    panels_max=int(cells[7]),
-                    refine_iters=int(cells[8]),
-                    note=cells[9],
-                )
-            )
-    return rows
+        return [
+            ResultRow(**{name: parse(cell)
+                         for (_, name, parse), cell in zip(_COLUMNS, cells, strict=True)})
+            for cells in reader
+        ]
 
 
 def write_trace(path: str | Path, trace: list[tuple[float, float]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
-        for tau, density in trace:
-            writer.writerow([f"{tau:.10g}", f"{density:.10g}"])
+        writer.writerows([_cell(tau), _cell(density)] for tau, density in trace)
 
 
 def trace_path(out: Path) -> Path:

@@ -42,8 +42,11 @@ class PeakSearchConfig:
     def __post_init__(self) -> None:
         if self.coarse_points < 16:
             raise ValueError("coarse_points must be >= 16")
-        if not self.refine_tol > 0.0:
-            raise ValueError("refine_tol must be positive")
+        if not 0.0 < self.refine_tol < math.inf:
+            raise ValueError("refine_tol must be positive and finite")
+        for bound in (self.tau_min, self.tau_max):
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError(f"tau_min and tau_max must be finite, got {bound}")
         if self.tau_min is not None and self.tau_max is not None:
             if not self.tau_min < self.tau_max:
                 raise ValueError("tau_min must be < tau_max")

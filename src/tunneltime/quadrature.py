@@ -11,6 +11,7 @@ an ndarray of values (real or complex).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,8 @@ class QuadratureSettings:
             raise ValueError("nodes_per_panel must be >= 8")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,11 @@ class DimensionlessParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.W >= 1.0:
-            raise ValueError(f"W = sqrt(V0/E_M) must be >= 1, got {self.W}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam = k_M*L must be >= 0, got {self.lam}")
+        # `not (... < inf)` also rejects nan, which fails every comparison
+        if not 1.0 <= self.W < math.inf:
+            raise ValueError(f"W = sqrt(V0/E_M) must be finite and >= 1, got {self.W}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam = k_M*L must be finite and >= 0, got {self.lam}")
 
     @property
     def a(self) -> float:

@@ -106,6 +106,18 @@ def test_grid_the_experiment_cannot_run_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["refine_tol = inf", "tau_min = nan", "tau_max = inf", "rel_tol = inf"]
+)
+def test_non_finite_search_or_quadrature_knob_is_rejected(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"lambda = 100\n{line}\n")
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_worker_count_in_environment_is_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TUNNELTIME_WORKERS", "abc")
     out = tmp_path / "rejected.csv"

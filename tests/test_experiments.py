@@ -8,6 +8,7 @@ import pytest
 
 from tunneltime import peakfind, wavepacket
 from tunneltime.experiments import (
+    _KEYS,
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -27,7 +28,8 @@ from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
 
 FAST_QUAD = {"rel_tol": "1e-7"}
-RESULTS = Path(__file__).resolve().parents[1] / "results"
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS = ROOT / "results"
 
 
 def small_config(experiment: str = "single", **over) -> ExperimentConfig:
@@ -87,6 +89,18 @@ class TestConfigParsing:
         cfg.write_text("just some words\n")
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             read_config_file(cfg)
+
+    def test_readme_config_example_names_every_key(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("### Config files", 1)[1].split("```")[1]
+        cfg = tmp_path / "example.cfg"
+        cfg.write_text(example)
+        values = read_config_file(cfg)
+        assert sorted(values) == sorted(_KEYS)
+        config = build_config("table1", values)
+        assert config.lambdas == (50.0, 100.0, 200.0)
+        assert config.quadrature == QuadratureSettings()
+        assert config.peak == PeakSearchConfig()
 
     def test_overrides_beat_file_values(self):
         config = build_config("single", {"lambda": "40"}, {"lambda": "60", "out": None})
@@ -159,6 +173,13 @@ class TestCsv:
         assert back[0].tau_spm is None
         assert back[0].tau_num == pytest.approx(row.tau_num, rel=1e-9)
         assert back[0].note == row.note
+
+    @pytest.mark.parametrize("experiment", ["table1", "fig1", "fig2"])
+    def test_committed_results_round_trip_byte_for_byte(self, tmp_path, experiment):
+        committed = RESULTS / f"{experiment}.csv"
+        path = tmp_path / "rows.csv"
+        write_rows(path, read_rows(committed))
+        assert path.read_bytes() == committed.read_bytes()
 
     def test_undefined_serialized_as_empty_cell(self, tmp_path):
         config = small_config()

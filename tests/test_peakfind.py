@@ -38,6 +38,9 @@ def test_config_validation():
         PeakSearchConfig(refine_tol=0.0)
     with pytest.raises(ValueError):
         PeakSearchConfig(tau_min=5.0, tau_max=5.0)
+    for bad in ({"refine_tol": math.inf}, {"tau_min": math.nan}, {"tau_max": math.inf}):
+        with pytest.raises(ValueError):
+            PeakSearchConfig(**bad)
 
 
 def test_default_window_brackets_reference_peak():

@@ -19,6 +19,8 @@ def test_settings_validation():
         QuadratureSettings(max_panels=0)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
+    with pytest.raises(ValueError):
+        QuadratureSettings(rel_tol=math.inf)
 
 
 @pytest.mark.parametrize("n", [8, 32, 64, 128])

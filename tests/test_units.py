@@ -53,6 +53,9 @@ def test_normalize_rejects_above_barrier_and_bad_inputs():
         DimensionlessParams(W=0.8, lam=10.0)
     with pytest.raises(ValueError):
         DimensionlessParams(W=1.0, lam=-1.0)
+    for W, lam in ((math.inf, 10.0), (math.nan, 10.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            DimensionlessParams(W=W, lam=lam)
 
 
 @settings(max_examples=1000, deadline=None)
