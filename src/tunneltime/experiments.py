@@ -5,10 +5,11 @@ and w_ratio grids, one `compute_row` per point, serially or in a process
 pool; `single` is the one-point grid and may also return the exit-density
 trace of its row.  The experiments differ only in their default grids
 (`_GRIDS`).  Configs are flat ``key = value`` text files ('#' comments,
-comma-separated lists); `_KEYS` maps each key to the dataclass field it
-sets, and every key is optional: an unset key keeps that field's default
-(the reference configuration) or, for the grids, the experiment's
-`_GRIDS` entry.  CLI flags are the same keys.  Each value is range-checked
+comma-separated lists, each key set at most once); `_KEYS` maps each key
+to the dataclass field it sets, and every key is optional: an unset key
+keeps that field's default (the reference configuration; the spectrum's
+sits on `Spectrum`) or, for the grids, the experiment's `_GRIDS` entry.
+CLI flags are the same keys.  Each value is range-checked
 by the type that owns it.  Output is deterministic CSV laid out by
 `_COLUMNS`: unit-annotated header, 10 significant digits, empty cells for
 undefined entries (never 0), one note column for divergences and per-row
@@ -97,8 +98,7 @@ class ExperimentConfig:
     experiment: str
     lambdas: tuple[float, ...]
     w_ratios: tuple[float, ...]
-    kappa0: float = 0.5
-    delta: float = 10.0
+    spectrum: Spectrum = Spectrum()
     quadrature: QuadratureSettings = QuadratureSettings()
     peak: PeakSearchConfig = PeakSearchConfig()
     out: Path | None = None
@@ -111,11 +111,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.lambdas or not self.w_ratios:
             raise ConfigError("lambda and w_ratio grids must be non-empty")
-        try:  # every grid point and the spectrum must be a valid model
+        try:  # every grid point must be a valid model
             for w in self.w_ratios:
                 for lam in self.lambdas:
                     DimensionlessParams(W=w, lam=lam)
-            self.spectrum()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.experiment in ("fig2", "single") and len(self.lambdas) > 1:
@@ -124,9 +123,6 @@ class ExperimentConfig:
             raise ConfigError("single takes one w_ratio value")
         if self.workers <= 0:
             _env_workers()  # a bad environment value is a config error too
-
-    def spectrum(self) -> Spectrum:
-        return Spectrum(kappa0=self.kappa0, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -159,8 +155,10 @@ def read_config_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set")
+        values[key] = value
     return values
 
 
@@ -169,8 +167,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 _KEYS = {
     "lambda": (ExperimentConfig, "lambdas", _as_grid),
     "w_ratio": (ExperimentConfig, "w_ratios", _as_grid),
-    "kappa0": (ExperimentConfig, "kappa0", float),
-    "delta": (ExperimentConfig, "delta", float),
+    "kappa0": (Spectrum, "kappa0", float),
+    "delta": (Spectrum, "delta", float),
     "nodes_per_panel": (QuadratureSettings, "nodes_per_panel", int),
     "max_panels": (QuadratureSettings, "max_panels", int),
     "rel_tol": (QuadratureSettings, "rel_tol", float),
@@ -201,6 +199,7 @@ def build_config(
     lambdas, w_ratios = _GRIDS[experiment]
     fields: dict[type, dict[str, object]] = {
         ExperimentConfig: {"experiment": experiment, "lambdas": lambdas, "w_ratios": w_ratios},
+        Spectrum: {},
         QuadratureSettings: {},
         PeakSearchConfig: {},
     }
@@ -215,6 +214,7 @@ def build_config(
         raise ConfigError(f"unknown config keys: {sorted(values)}")
     try:
         return ExperimentConfig(
+            spectrum=Spectrum(**fields[Spectrum]),
             quadrature=QuadratureSettings(**fields[QuadratureSettings]),
             peak=PeakSearchConfig(**fields[PeakSearchConfig]),
             **fields[ExperimentConfig],
@@ -290,7 +290,7 @@ def _compute_row_task(task) -> ResultRow:
 def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[float, float]]:
     """Exit density sampled on the coarse search grid (monotone in tau)."""
     params = DimensionlessParams(W=w, lam=lam)
-    return coarse_scan(config.spectrum(), params, config.peak, config.quadrature).trace()
+    return coarse_scan(config.spectrum, params, config.peak, config.quadrature).trace()
 
 
 def _cell(value: float | int | str | None) -> str:
@@ -357,10 +357,9 @@ def run_experiment(config: ExperimentConfig):
     The trace is the exit-density series of the `single` row when
     config.trace is set; other experiments return None.
     """
-    spec = config.spectrum()
     trace = config.trace and config.experiment == "single"
     tasks = [
-        (lam, w, spec, config.peak, config.quadrature, trace)
+        (lam, w, config.spectrum, config.peak, config.quadrature, trace)
         for w in config.w_ratios
         for lam in config.lambdas
     ]

@@ -9,6 +9,9 @@ The coarse scan advances every node's phase factor by one grid step per
 sample; refinement evaluates the sum directly.  The search runs on the
 exp-rescaled density (common factor e^{2 a lam} pulled out), which leaves
 the argmax untouched and keeps opaque configurations representable.
+One rule (`_search_window`) fills each unset window bound from
+`default_window(tau_new)`, tau_new being the moment phase time; a set bound
+that empties the window is an error naming tau_new.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class PeakSearchConfig:
-    """Search window and refinement knobs.
-
-    tau_min/tau_max default to the automatic window
-    [0.1 tau_new, 5 tau_new + 10] built from the moment phase time.
-    """
+    """Search window and refinement knobs; an unset bound is automatic."""
 
     tau_min: float | None = None
     tau_max: float | None = None
@@ -70,23 +69,25 @@ def default_window(tau_reference: float) -> tuple[float, float]:
     return 0.1 * tau_reference, 5.0 * tau_reference + 10.0
 
 
-def _fill_window(config: PeakSearchConfig, tau_reference: float) -> PeakSearchConfig:
-    """config with unset window bounds taken from default_window(tau_reference)."""
-    auto = default_window(tau_reference)
-    return replace(
-        config,
-        tau_min=auto[0] if config.tau_min is None else config.tau_min,
-        tau_max=auto[1] if config.tau_max is None else config.tau_max,
-    )
+def _search_window(
+    config: PeakSearchConfig, params: DimensionlessParams, tau_new: float | None = None
+) -> PeakSearchConfig:
+    """config with each unset bound from default_window(tau_new).
 
-
-def _resolve_window(
-    config: PeakSearchConfig, params: DimensionlessParams
-) -> tuple[float, float]:
-    if config.tau_min is None or config.tau_max is None:
-        moments = phasetime.moments_closed_form(params)
-        config = _fill_window(config, phasetime.phase_time_moments(moments, params))
-    return config.tau_min, config.tau_max
+    tau_new comes from the closed-form moments unless the caller passes it.
+    """
+    if config.tau_min is not None and config.tau_max is not None:
+        return config
+    if tau_new is None:
+        tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+    auto_min, auto_max = default_window(tau_new)
+    tau_min = auto_min if config.tau_min is None else config.tau_min
+    tau_max = auto_max if config.tau_max is None else config.tau_max
+    if not tau_min < tau_max:
+        auto = "tau_min" if config.tau_min is None else "tau_max"
+        raise ValueError(f"empty search window [{tau_min:.6g}, {tau_max:.6g}]: the automatic "
+                         f"{auto} comes from tau_new = {tau_new:.6g}; set both bounds")
+    return replace(config, tau_min=tau_min, tau_max=tau_max)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def coarse_scan(
     settings: QuadratureSettings | None = None,
 ) -> CoarseScan:
     """|Phi_T(0, tau)|^2 e^{2 a lam} at config.coarse_points evenly spaced taus."""
-    config = config or PeakSearchConfig()
-    tau_lo, tau_hi = _resolve_window(config, params)
+    config = _search_window(config or PeakSearchConfig(), params)
+    tau_lo, tau_hi = config.tau_min, config.tau_max
     phi = wavepacket.exit_amplitude(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     n = config.coarse_points
     step = (tau_hi - tau_lo) / (n - 1)
@@ -151,38 +152,30 @@ def peak_arrival(
 
     window_hit = i_best <= 1 or i_best >= n - 2
     # Local three-point unimodality check before trusting the bracket.
-    if window_hit or not (dens[i_best - 1] < dens[i_best] > dens[i_best + 1]):
-        return PeakResult(
-            tau_peak=taus[i_best],
-            density_peak=phi.unscale(float(dens[i_best])),
-            window_hit=window_hit,
-            refined=False,
-            refine_iters=0,
-            panels_max=phi.panels,
-            scan=scan,
-        )
-
-    lo, hi = taus[i_best - 1], taus[i_best + 1]
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = scaled_density(c), scaled_density(d)
-    iters = 0
-    while hi - lo > config.refine_tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = scaled_density(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = scaled_density(d)
-        iters += 1
-    tau_peak = 0.5 * (lo + hi)
+    refined = not window_hit and bool(dens[i_best - 1] < dens[i_best] > dens[i_best + 1])
+    tau_peak, scaled_peak, iters = taus[i_best], float(dens[i_best]), 0
+    if refined:
+        lo, hi = taus[i_best - 1], taus[i_best + 1]
+        c = hi - _INV_GOLDEN * (hi - lo)
+        d = lo + _INV_GOLDEN * (hi - lo)
+        fc, fd = scaled_density(c), scaled_density(d)
+        while hi - lo > config.refine_tol:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - _INV_GOLDEN * (hi - lo)
+                fc = scaled_density(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + _INV_GOLDEN * (hi - lo)
+                fd = scaled_density(d)
+            iters += 1
+        tau_peak = 0.5 * (lo + hi)
+        scaled_peak = scaled_density(tau_peak)
     return PeakResult(
         tau_peak=tau_peak,
-        density_peak=phi.unscale(scaled_density(tau_peak)),
-        window_hit=False,
-        refined=True,
+        density_peak=phi.unscale(scaled_peak),
+        window_hit=window_hit,
+        refined=refined,
         refine_iters=iters,
         panels_max=phi.panels,
         scan=scan,
@@ -204,7 +197,7 @@ def full_report(
     tau_new = phasetime.phase_time_moments(moments, params)
     tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
     # the window comes from the tau_new above, so the moments run once
-    config = _fill_window(config or PeakSearchConfig(), tau_new)
+    config = _search_window(config or PeakSearchConfig(), params, tau_new)
     peak = peak_arrival(spec, params, config, settings)
     v_num = phasetime.transit_velocity(peak.tau_peak, params)
     v_ana = phasetime.transit_velocity(tau_new, params)

@@ -15,8 +15,8 @@ all negative here, with moments s(n) = Int (rho + a)^2 rho^n e^{-rho lam}.
 Two phase times come out of this module:
 
 * `phase_time_spm`  -- the stationary-phase time, 1/a in the opaque limit
-  (divergent at E_M = V0), or the full barrier expression at a given mean
-  momentum;
+  (divergent at E_M = V0; the full barrier expression at a given momentum
+  is `transmission.stationary_time_full`);
 * `phase_time_moments` -- the moment-based closed form
 
       tau = [2 W^2 B + 4 a A] / [C + 4 a B + 4 a^2 A],
@@ -173,17 +173,12 @@ def phase_time_moments(moments: MomentTable, params: DimensionlessParams) -> flo
     return tau
 
 
-def phase_time_spm(params: DimensionlessParams, kappa_bar: float | None = None) -> float:
-    """Stationary-phase time tau = E_M t / hbar.
+def phase_time_spm(params: DimensionlessParams) -> float:
+    """Opaque-limit stationary-phase time tau = k_M/q_M = 1/a (E_M t / hbar).
 
-    Without kappa_bar, returns the opaque-limit value k_M/q_M = 1/a, which
-    diverges at E_M = V0.  With kappa_bar, evaluates the full barrier
-    expression at that mean momentum instead.
+    Diverges at E_M = V0; `transmission.stationary_time_full` is the full
+    barrier expression at a given momentum.
     """
-    if kappa_bar is not None:
-        from .transmission import stationary_time_full
-
-        return stationary_time_full(kappa_bar, params)
     a = params.a
     if a == 0.0:
         raise ValueError("stationary-phase time diverges at E_M = V0 (a = 0)")

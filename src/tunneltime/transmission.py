@@ -11,10 +11,12 @@ module returns the modulus |T| and the barrier phase
     phi = arctan[(2k^2 - w^2) tanh(qL) / (2kq)].
 
 Everything is expressed in cutoff units: kappa = k/k_M, W = w/k_M,
-u = qL = lam * sqrt(W^2 - kappa^2).  One exp-scaled formula covers every u:
-the hyperbolics are divided by e^u/2, so lam up to several hundred stays
-finite in double precision, and sinh(u)/u is written with expm1, which
-stays regular through the removable singularity at k = w (q -> 0).
+u = qL = lam * sqrt(W^2 - kappa^2).  One exp-scaled form covers every u,
+in `modulus_phase` and in `stationary_time_full` alike: the hyperbolics are
+divided by e^u/2 (e^{2u}/2 for the doubled arguments of the stationary
+time), so lam up to several hundred stays finite in double precision, and
+1 - e^{-2u} is written with expm1, which stays regular through the
+removable singularity at k = w (q -> 0).
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .units import DimensionlessParams
-
-# Above this u = qL, stationary_time_full divides out e^{2u} (cosh(2*30) is
-# still comfortably finite).
-_U_SCALED = 30.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,11 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
 
     (bracket grouping fixed so that the opaque limit reduces to
     E t/hbar -> k/q), then divides by kappa^2 to convert E t/hbar into
-    E_M t/hbar.  Exp-scaled for qL > 30.
+    E_M t/hbar.  Both brackets are divided by e^{2u}/2 (u = qL), so nothing
+    overflows and the denominator has no cancellation as q -> 0:
+
+        k [w^4 (1 - e^{-4u}) + 4k^2 (w^2 - 2k^2) u e^{-2u}]
+        / (q [w^4 (1 - e^{-2u})^2 + 16 k^2 q^2 e^{-2u}]).
     """
     W, lam = params.W, params.lam
     if not 0.0 < kappa < W:
@@ -134,13 +136,8 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
     W4 = W ** 4
     g = math.sqrt(W * W - k2)
     u = lam * g
-    lin = 2.0 * k2 * (W * W - 2.0 * k2)       # coefficient of the qL term
-    cst = 8.0 * k2 * g * g - W4               # constant next to cosh
-    if u <= _U_SCALED:
-        num = kappa * (W4 * math.sinh(2.0 * u) + lin * u)
-        den = g * (W4 * math.cosh(2.0 * u) + cst)
-    else:
-        s = math.exp(-2.0 * u)                # common factor e^{2u}/2 divided out
-        num = kappa * (W4 * (1.0 - s * s) / 2.0 + lin * u * s)
-        den = g * (W4 * (1.0 + s * s) / 2.0 + cst * s)
+    e = math.exp(-2.0 * u)
+    em = math.expm1(-2.0 * u)  # e - 1
+    num = kappa * (-W4 * math.expm1(-4.0 * u) + 4.0 * k2 * (W * W - 2.0 * k2) * u * e)
+    den = g * (W4 * em * em + 16.0 * k2 * g * g * e)
     return num / (den * k2)

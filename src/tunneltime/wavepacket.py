@@ -10,11 +10,12 @@ with xi = k_M (x - L) >= 0 and tau = E_M t / hbar.  The exact amplitude is
 used throughout; the opaque-limit approximation lives in `phasetime` so the
 numerical ground truth stays independent of the model being tested.
 
-Two routes evaluate it.  `transmitted_integral` integrates one (xi, tau)
-sample adaptively; its initial panel count grows linearly with |tau| to
-resolve the chirp e^{-i kappa^2 tau} before refinement takes over.
+Two routes evaluate it, on one amplitude factor g |T| e^{i phi}
+(`_amplitude`).  `transmitted_integral` integrates one (xi, tau) sample
+adaptively; its initial panel count grows linearly with |tau| to resolve
+the chirp e^{-i kappa^2 tau} before refinement takes over.
 `exit_amplitude` serves many times at the exit xi = 0: it refines the
-tau-independent factor g |T| e^{i phi} once, on panels seeded for the
+tau-independent factor (times e^{a lam}) once, on panels seeded for the
 chirp at the largest |tau| (and therefore at every smaller one), keeps the
 nodes with |amp_j| > eps * sum|amp| / N (eps the double-precision machine
 epsilon, N the node count), and then
@@ -56,25 +57,29 @@ def _initial_panels(position: float, time: float) -> int:
     return math.ceil(4.0 * (1.0 + (abs(time) + abs(position)) / (2.0 * math.pi)))
 
 
+def _amplitude(spec: Spectrum, params: DimensionlessParams, log_scale: float):
+    """kappa -> g(kappa) |T(kappa)| e^{i phi(kappa)} e^{log_scale}."""
+
+    def amplitude(kappa: np.ndarray) -> np.ndarray:
+        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
+        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
+
+    return amplitude
+
+
 def transmitted_integral(
     spec: Spectrum,
     params: DimensionlessParams,
     position: float,
     time: float,
     settings: QuadratureSettings | None = None,
-    log_scale: float = 0.0,
 ) -> QuadratureResult:
-    """Adaptive evaluation of the spectral integral, amplitude * e^{log_scale}.
-
-    log_scale = a * lam factors out the opaque suppression for stable peak
-    searches; the result's `panels` field exposes the refinement effort.
-    """
+    """Adaptive spectral integral at one (xi, tau); `panels` is the effort."""
     settings = settings or QuadratureSettings()
+    amplitude = _amplitude(spec, params, 0.0)
 
     def integrand(kappa: np.ndarray) -> np.ndarray:
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
-        osc = phase + kappa * position - kappa * kappa * time
-        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * osc)
+        return amplitude(kappa) * np.exp(1j * (kappa * position - kappa * kappa * time))
 
     return integrate_adaptive(
         integrand, 0.0, 1.0, settings, initial_panels=_initial_panels(position, time)
@@ -120,11 +125,7 @@ def exit_amplitude(
     """
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
-
-    def amplitude(kappa: np.ndarray) -> np.ndarray:
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
-        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
-
+    amplitude = _amplitude(spec, params, log_scale)
     panels = adaptive_panels(
         amplitude, 0.0, 1.0, settings, initial_panels=_initial_panels(0.0, time_bound)
     )

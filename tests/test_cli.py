@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -116,6 +117,42 @@ def test_non_finite_search_or_quadrature_knob_is_rejected(tmp_path, capsys, line
     assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
     assert "invalid config" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_key_set_twice_in_a_config_file_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("lambda = 50\nlambda = 100\n")
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"invalid config: {cfg}:2: 'lambda'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lone_bound_that_empties_the_window_names_the_automatic_bound(tmp_path):
+    # the automatic tau_min at lam = 100 is 0.1 tau_new = 2.22, above tau_max
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("lambda = 100\ntau_max = 1\n")
+    out = tmp_path / "empty.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note.startswith("failed: empty search window [2.22222, 1]")
+    assert "automatic tau_min comes from tau_new = 22.2222" in row.note
+
+
+def test_single_trace_matches_the_reference_trace(tmp_path):
+    # the lam = 500 trace as the benchmark's correctness gate records it
+    reference = Path(__file__).resolve().parents[1] / "perfbench/reference/single_trace_trace.csv"
+    out = tmp_path / "single.csv"
+    assert main(["single", "--lambda", "500", "--w-ratio", "1", "--trace", "--out", str(out)]) == 0
+    with open(reference, newline="") as fh:
+        expected = list(csv.reader(fh))
+    with open(tmp_path / "single_trace.csv", newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == expected[0]
+    assert [tau for tau, _ in got[1:]] == [tau for tau, _ in expected[1:]]
+    peak = max(float(d) for _, d in expected[1:])
+    for (_, d), (_, d_ref) in zip(got[1:], expected[1:], strict=True):
+        assert abs(float(d) - float(d_ref)) <= 1e-9 * peak
 
 
 def test_bad_worker_count_in_environment_is_rejected(tmp_path, capsys, monkeypatch):

@@ -52,7 +52,7 @@ class TestConfigParsing:
         values = read_config_file(cfg)
         config = build_config("table1", values)
         assert config.lambdas == (50.0, 100.0)
-        assert config.kappa0 == 0.5
+        assert config.spectrum.kappa0 == 0.5
 
     def test_defaults_per_experiment(self):
         table1 = build_config("table1")

@@ -18,7 +18,7 @@ from tunneltime.phasetime import (
     s_coefficients,
     transit_velocity,
 )
-from tunneltime.transmission import modulus_phase, stationary_time_full
+from tunneltime.transmission import modulus_phase
 from tunneltime.units import DimensionlessParams
 
 mp.mp.dps = 40
@@ -247,13 +247,6 @@ class TestPhaseTimeSpm:
     def test_diverges_at_matched_energies(self):
         with pytest.raises(ValueError, match="diverges"):
             phase_time_spm(DimensionlessParams(W=1.0, lam=100.0))
-
-    def test_full_form_delegates_to_barrier_expression(self):
-        params = DimensionlessParams(W=1.0, lam=100.0)
-        kbar = 0.99
-        assert phase_time_spm(params, kappa_bar=kbar) == pytest.approx(
-            stationary_time_full(kbar, params), rel=1e-14
-        )
 
 
 class TestTransitVelocity:

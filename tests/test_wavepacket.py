@@ -94,13 +94,3 @@ def test_panel_count_grows_with_oscillation():
     assert panels[200.0] > panels[50.0]
     assert panels[800.0] > panels[200.0]
     assert panels[800.0] >= (800.0 / (2 * math.pi)) * 4  # at least the seed count
-
-
-def test_scaled_integral_matches_unscaled():
-    params = DimensionlessParams(W=math.sqrt(2.0), lam=30.0)
-    spec = Spectrum()
-    plain = transmitted_integral(spec, params, 0.0, 2.0)
-    scaled = transmitted_integral(spec, params, 0.0, 2.0, log_scale=params.a * params.lam)
-    assert scaled.value == pytest.approx(
-        plain.value * math.exp(params.a * params.lam), rel=1e-9
-    )
