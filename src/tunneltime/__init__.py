@@ -5,10 +5,9 @@ a moment-based phase-time formula, and a full spectral wave-packet
 simulation with peak-arrival detection.
 """
 
-from .peakfind import PeakResult, PeakSearchConfig, full_report, peak_arrival
+from .peakfind import PeakResult, PeakSearchConfig, peak_arrival
 from .phasetime import (
     MomentTable,
-    PhaseTimeReport,
     SCoefficients,
     expansion_coefficients,
     model_density,
@@ -47,7 +46,6 @@ __all__ = [
     "MomentTable",
     "PeakResult",
     "PeakSearchConfig",
-    "PhaseTimeReport",
     "PhysicalParams",
     "QuadratureError",
     "QuadratureResult",
@@ -64,7 +62,6 @@ __all__ = [
     "electron_barrier",
     "evaluate",
     "expansion_coefficients",
-    "full_report",
     "integrate_adaptive",
     "mean_k_opaque",
     "model_density",

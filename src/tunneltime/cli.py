@@ -2,8 +2,9 @@
 
 Subcommands: table1, fig1, fig2, single.  Each accepts --config <path>
 plus individual override flags; all values default to the reference
-configuration.  Exit codes: 0 success, 1 invalid config, 2 numerical
-failure, 3 partial success (some sweep points failed, noted in the CSV).
+configuration.  Exit codes: 0 success, 1 invalid config or an output
+file that cannot be written, 2 numerical failure, 3 partial success (some
+sweep points failed, noted in the CSV).
 """
 
 from __future__ import annotations
@@ -88,11 +89,16 @@ def main(argv: list[str] | None = None) -> int:
     rows, trace = run_experiment(config)
 
     out = config.out or Path(f"{config.experiment}.csv")
-    write_rows(out, rows)
-    if trace is not None:
-        write_trace(trace_path(out), trace)
-    if config.plot_script:
-        write_plot_script(out.with_suffix(out.suffix + ".gnuplot"), out, config.experiment)
+    try:
+        write_rows(out, rows)
+        if trace is not None:
+            write_trace(trace_path(out), trace)
+        if config.plot_script:
+            write_plot_script(out.with_suffix(out.suffix + ".gnuplot"), out, config.experiment)
+    except OSError as exc:
+        print(f"tunneltime: cannot write {exc.filename or out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     failed = sum(
         1 for r in rows if r.note.startswith(("failed:", "window_hit"))

@@ -1,19 +1,20 @@
 """Experiment pipelines: one (lambda, W) grid per experiment, one row per point.
 
 Every experiment runs the same pipeline: the W-major product of its lambda
-and w_ratio grids, one `compute_row` per point, serially or in a process
-pool; `single` is the one-point grid and may also return the exit-density
-trace of its row.  The experiments differ only in their default grids
-(`_GRIDS`).  Configs are flat ``key = value`` text files ('#' comments,
-comma-separated lists, each key set at most once); `_KEYS` maps each key
-to the dataclass field it sets, and every key is optional: an unset key
-keeps that field's default (the reference configuration; the spectrum's
-sits on `Spectrum`) or, for the grids, the experiment's `_GRIDS` entry.
-CLI flags are the same keys.  Each value is range-checked
-by the type that owns it.  Output is deterministic CSV laid out by
-`_COLUMNS`: unit-annotated header, 10 significant digits, empty cells for
-undefined entries (never 0), one note column for divergences and per-row
-failures.  Assembly stays in grid order so identical configs give
+and w_ratio grids, one `compute_row` per point (the only function that
+turns a point into its phase times), serially or in a process pool;
+`single` is the one-point grid and the only experiment that may also
+return the exit-density trace of its row.  The experiments differ only in
+their default grids (`_GRIDS`).  Configs are flat ``key = value`` text
+files ('#' comments, comma-separated lists, each key set at most once);
+`_KEYS` maps each key to the dataclass field it sets, and every key is
+optional: an unset key keeps that field's default (the reference
+configuration; the spectrum's sits on `Spectrum`) or, for the grids, the
+experiment's `_GRIDS` entry.  CLI flags are the same keys.  Each value is
+range-checked by the type that owns it.  Output is deterministic CSV laid
+out by `_COLUMNS`: unit-annotated header, 10 significant digits, empty
+cells for undefined entries (never 0), one note column for divergences and
+per-row failures.  Assembly stays in grid order so identical configs give
 byte-identical files.
 """
 
@@ -24,9 +25,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
-from .peakfind import PeakSearchConfig, coarse_scan, full_report
+from . import peakfind, phasetime
+from .peakfind import PeakSearchConfig, coarse_scan
 from .quadrature import QuadratureError, QuadratureSettings
 from .spectrum import Spectrum
 from .units import DimensionlessParams
@@ -104,7 +107,7 @@ class ExperimentConfig:
     out: Path | None = None
     trace: bool = False
     plot_script: bool = False
-    workers: int = 0  # 0 -> available parallelism
+    workers: int = 0  # 0 -> WORKERS_ENV, else available parallelism
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -121,7 +124,11 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} takes one lambda value")
         if self.experiment == "single" and len(self.w_ratios) > 1:
             raise ConfigError("single takes one w_ratio value")
-        if self.workers <= 0:
+        if self.trace and self.experiment != "single":
+            raise ConfigError("trace is written only by single")
+        if self.workers < 0:
+            raise ConfigError(f"workers must be >= 0, got {self.workers}")
+        if self.workers == 0:
             _env_workers()  # a bad environment value is a config error too
 
 
@@ -224,19 +231,15 @@ def build_config(
 
 
 def _env_workers() -> int:
-    """Worker count from WORKERS_ENV, else the available parallelism."""
+    """Worker count from WORKERS_ENV; unset or 0 -> the available parallelism."""
     env = os.environ.get(WORKERS_ENV, "").strip()
-    if not env:
-        return os.cpu_count() or 1
     try:
-        return int(env)
+        workers = int(env or 0)
+        if workers < 0:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-
-
-def _worker_count(config: ExperimentConfig, n_tasks: int) -> int:
-    workers = config.workers if config.workers > 0 else _env_workers()
-    return max(1, min(workers, n_tasks))
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 0, got {env!r}") from None
+    return workers or os.cpu_count() or 1
 
 
 def compute_row(
@@ -247,17 +250,26 @@ def compute_row(
     settings: QuadratureSettings,
     trace: bool = False,
 ) -> ResultRow:
-    """Full phase-time report for one (lam, W) grid point.
+    """The three phase times of one (lam, W) grid point, side by side.
 
-    Failures are captured in the note column so that sweeps can continue;
-    window hits are reported the same way (the result is untrustworthy
-    until the caller widens the window).  With trace set, the row also
-    carries the coarse scan of its peak search as (tau, density) pairs;
-    a failed row carries none.
+    tau_spm (opaque stationary phase, 1/a) is None at a = 0, where it
+    diverges; tau_new (moments) also fills the unset search-window bounds
+    for tau_num (simulated peak arrival).  Failures are captured in the note
+    column so that sweeps can continue; window hits are reported the same
+    way (the result is untrustworthy until the caller widens the window).
+    With trace set, the row also carries the coarse scan of its peak search
+    as (tau, density) pairs; a failed row carries none.
     """
+    # called through their modules, where perfbench/layers.py wraps them
     try:
         params = DimensionlessParams(W=w, lam=lam)
-        report, peak = full_report(spec, params, peak_config, settings)
+        tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+        tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
+        # the window comes from the tau_new above, so the moments run once
+        window = peakfind.search_window(peak_config, params, tau_new)
+        peak = peakfind.peak_arrival(spec, params, window, settings)
+        v_transit = phasetime.transit_velocity(peak.tau_peak, params)
+        ratio_ana_num = 100.0 * phasetime.transit_velocity(tau_new, params) / v_transit
     except (QuadratureError, ValueError) as exc:
         return ResultRow(lam=lam, w=w, note=f"failed: {exc}")
     # the peak-search note goes first: the CLI counts failed rows by prefix
@@ -266,25 +278,21 @@ def compute_row(
         notes.append("window_hit: peak at search boundary, widen tau_min/tau_max")
     elif not peak.refined:
         notes.append("unrefined: coarse scan not unimodal at the argmax")
-    if report.tau_spm is None:
+    if tau_spm is None:
         notes.append("tau_spm diverges (E_M = V0)")
     return ResultRow(
         lam=lam,
         w=w,
-        tau_spm=report.tau_spm,
-        tau_new=report.tau_new,
-        tau_num=report.tau_numeric,
-        v_transit=report.v_transit,
-        ratio_ana_num=report.ratio_ana_num,
+        tau_spm=tau_spm,
+        tau_new=tau_new,
+        tau_num=peak.tau_peak,
+        v_transit=v_transit,
+        ratio_ana_num=ratio_ana_num,
         panels_max=peak.panels_max,
         refine_iters=peak.refine_iters,
         note="; ".join(notes),
         trace=peak.scan.trace() if trace else None,
     )
-
-
-def _compute_row_task(task) -> ResultRow:
-    return compute_row(*task)
 
 
 def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[float, float]]:
@@ -355,18 +363,15 @@ def run_experiment(config: ExperimentConfig):
     """Run the config's grid, W-major; returns (rows, trace_or_None).
 
     The trace is the exit-density series of the `single` row when
-    config.trace is set; other experiments return None.
+    config.trace is set (only `single` accepts it); otherwise None.
     """
-    trace = config.trace and config.experiment == "single"
-    tasks = [
-        (lam, w, config.spectrum, config.peak, config.quadrature, trace)
-        for w in config.w_ratios
-        for lam in config.lambdas
-    ]
-    workers = _worker_count(config, len(tasks))
+    lams, ws = zip(*((lam, w) for w in config.w_ratios for lam in config.lambdas))
+    args = (lams, ws, repeat(config.spectrum), repeat(config.peak),
+            repeat(config.quadrature), repeat(config.trace))
+    workers = min(config.workers or _env_workers(), len(lams))
     if workers == 1:
-        rows = [_compute_row_task(t) for t in tasks]
+        rows = list(map(compute_row, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compute_row_task, tasks))
+            rows = list(pool.map(compute_row, *args))
     return rows, rows[0].trace

@@ -9,7 +9,7 @@ The coarse scan advances every node's phase factor by one grid step per
 sample; refinement evaluates the sum directly.  The search runs on the
 exp-rescaled density (common factor e^{2 a lam} pulled out), which leaves
 the argmax untouched and keeps opaque configurations representable.
-One rule (`_search_window`) fills each unset window bound from
+One rule (`search_window`) fills each unset window bound from
 `default_window(tau_new)`, tau_new being the moment phase time; a set bound
 that empties the window is an error naming tau_new.
 """
@@ -69,7 +69,7 @@ def default_window(tau_reference: float) -> tuple[float, float]:
     return 0.1 * tau_reference, 5.0 * tau_reference + 10.0
 
 
-def _search_window(
+def search_window(
     config: PeakSearchConfig, params: DimensionlessParams, tau_new: float | None = None
 ) -> PeakSearchConfig:
     """config with each unset bound from default_window(tau_new).
@@ -110,7 +110,7 @@ def coarse_scan(
     settings: QuadratureSettings | None = None,
 ) -> CoarseScan:
     """|Phi_T(0, tau)|^2 e^{2 a lam} at config.coarse_points evenly spaced taus."""
-    config = _search_window(config or PeakSearchConfig(), params)
+    config = search_window(config or PeakSearchConfig(), params)
     tau_lo, tau_hi = config.tau_min, config.tau_max
     phi = wavepacket.exit_amplitude(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     n = config.coarse_points
@@ -180,32 +180,3 @@ def peak_arrival(
         panels_max=phi.panels,
         scan=scan,
     )
-
-
-def full_report(
-    spec: Spectrum,
-    params: DimensionlessParams,
-    config: PeakSearchConfig | None = None,
-    settings: QuadratureSettings | None = None,
-) -> tuple[phasetime.PhaseTimeReport, PeakResult]:
-    """Analytic and numerical phase times side by side for one configuration.
-
-    tau_spm is None at a = 0, where the opaque stationary-phase formula
-    diverges (the central defect the moment formula repairs).
-    """
-    moments = phasetime.moments_closed_form(params)
-    tau_new = phasetime.phase_time_moments(moments, params)
-    tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
-    # the window comes from the tau_new above, so the moments run once
-    config = _search_window(config or PeakSearchConfig(), params, tau_new)
-    peak = peak_arrival(spec, params, config, settings)
-    v_num = phasetime.transit_velocity(peak.tau_peak, params)
-    v_ana = phasetime.transit_velocity(tau_new, params)
-    report = phasetime.PhaseTimeReport(
-        tau_spm=tau_spm,
-        tau_new=tau_new,
-        tau_numeric=peak.tau_peak,
-        v_transit=v_num,
-        ratio_ana_num=100.0 * v_ana / v_num,
-    )
-    return report, peak

@@ -206,19 +206,3 @@ def expansion_coefficients(params: DimensionlessParams):
     a = params.a
     phi_m = math.pi / 2.0 if a == 0.0 else math.atan((1.0 - a * a) / (2.0 * a))
     return (phi_m, -2.0, -a), (1.0, -2.0 * a, -1.0)
-
-
-@dataclass(frozen=True)
-class PhaseTimeReport:
-    """All phase times for one configuration, in E_M t / hbar units.
-
-    tau_spm is None where the opaque stationary-phase formula diverges
-    (a = 0).  ratio_ana_num is the analytic/numeric transit-velocity ratio
-    in percent, i.e. 100 * tau_numeric / tau_new.
-    """
-
-    tau_spm: float | None
-    tau_new: float
-    tau_numeric: float
-    v_transit: float
-    ratio_ana_num: float

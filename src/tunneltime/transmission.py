@@ -128,13 +128,18 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
 
         k [w^4 (1 - e^{-4u}) + 4k^2 (w^2 - 2k^2) u e^{-2u}]
         / (q [w^4 (1 - e^{-2u})^2 + 16 k^2 q^2 e^{-2u}]).
+
+    For u >= 1e-2 the result is within 1e-11 relative of a 60-digit
+    evaluation, also as kappa -> W.  Below u = 1e-2 the O(u) terms of the
+    numerator cancel to O(u^3), so the relative error grows roughly like
+    1e-16 / u^2 and reaches a few 1e-5 for u < 1e-5.
     """
     W, lam = params.W, params.lam
     if not 0.0 < kappa < W:
         raise ValueError(f"kappa must lie in (0, W), got {kappa}")
     k2 = kappa * kappa
     W4 = W ** 4
-    g = math.sqrt(W * W - k2)
+    g = math.sqrt((W - kappa) * (W + kappa))  # no cancellation as kappa -> W
     u = lam * g
     e = math.exp(-2.0 * u)
     em = math.expm1(-2.0 * u)  # e - 1

@@ -98,6 +98,7 @@ def test_default_output_name(tmp_path, monkeypatch):
         ["single", "--lambda", "-1"],
         ["single", "--w-ratio", "nan"],
         ["table1", "--lambda", "50,inf"],
+        ["table1", "--trace"],
     ],
 )
 def test_grid_the_experiment_cannot_run_is_rejected(tmp_path, capsys, argv):
@@ -161,6 +162,25 @@ def test_bad_worker_count_in_environment_is_rejected(tmp_path, capsys, monkeypat
     assert main(["table1", "--lambda", "30", "--out", str(out)]) == 1
     assert "invalid config: TUNNELTIME_WORKERS" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_worker_count_is_rejected_from_either_source(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers = -2\n")
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "invalid config: workers must be >= 0, got -2" in capsys.readouterr().err
+    monkeypatch.setenv("TUNNELTIME_WORKERS", "-1")
+    assert main(["single", "--out", str(out)]) == 1
+    assert "invalid config: TUNNELTIME_WORKERS must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_output_is_reported_not_raised(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "row.csv"
+    assert main(["single", "--lambda", "30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"tunneltime: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
+import importlib.util
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from tunneltime import peakfind, wavepacket
+from tunneltime import experiments, peakfind, wavepacket
 from tunneltime.experiments import (
     _KEYS,
     CSV_HEADER,
@@ -268,6 +270,33 @@ class TestSweeps:
         parallel, _ = run_experiment(build_config("table1", dict(values, workers="2")))
         assert [r.tau_num for r in serial] == [r.tau_num for r in parallel]
 
+    @pytest.mark.parametrize("env", [None, "0"])
+    def test_zero_workers_means_available_parallelism(self, monkeypatch, env):
+        # workers = 0 defers to TUNNELTIME_WORKERS; unset or 0 there -> cpu_count
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if env is None:
+            monkeypatch.delenv("TUNNELTIME_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("TUNNELTIME_WORKERS", env)
+        rows, _ = run_experiment(small_config("table1", **{"lambda": "30, 40, 50", "workers": "0"}))
+        assert sizes == [2] and [r.lam for r in rows] == [30.0, 40.0, 50.0]
+
     def test_run_experiment_dispatch(self):
         values = {"lambda": "30", "w_ratio": "1.0", "coarse_points": "32", "workers": "1"}
         rows, trace = run_experiment(build_config("table1", values))
@@ -323,3 +352,28 @@ class TestSweeps:
         assert v[50.0] - v[100.0] > v[100.0] - v[200.0]
         assert v[100.0] - v[200.0] == pytest.approx(0.0505, abs=2e-3)
         assert 4.5 < v[200.0] < 4.95
+
+
+def test_benchmark_tracer_sees_the_point_path(monkeypatch):
+    # perfbench/layers.py wraps module attributes by name; the point path
+    # must keep calling them through their modules
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench/layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look it up
+    spec.loader.exec_module(layers)
+    with layers.traced(layers.Tracer()) as tracer:
+        (row,), _ = run_experiment(small_config())
+    assert row.tau_num is not None
+    by_id = {s.id: s for s in tracer.spans}
+
+    def named(name):
+        return [s for s in tracer.spans if s.name == name]
+
+    (row_span,) = named(layers.COMPUTE_ROW)
+    assert len(named(layers.PEAK_ARRIVAL)) == 1
+    (moments,) = named(layers.MOMENTS)
+    root = moments
+    while root.parent != -1:
+        root = by_id[root.parent]
+    assert root is row_span
+    assert sum(s.attr for s in named(layers.MODULUS_PHASE)) > 0

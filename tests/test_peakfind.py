@@ -7,11 +7,11 @@ import pytest
 
 from tunneltime import peakfind, phasetime, transmission, wavepacket
 from tunneltime import spectrum as spectrum_mod
+from tunneltime.experiments import compute_row
 from tunneltime.peakfind import (
     PeakSearchConfig,
     coarse_scan,
     default_window,
-    full_report,
     peak_arrival,
 )
 from tunneltime.quadrature import QuadratureSettings, adaptive_panels
@@ -220,36 +220,40 @@ def test_monotone_peak_growth_and_velocity_trend():
 
 
 class TestFullReport:
+    """The three phase times of one grid point, as `compute_row` reports them."""
+
+    @staticmethod
+    def row(params, config=PeakSearchConfig(), settings=QuadratureSettings(), trace=False):
+        return compute_row(params.lam, params.W, SPEC, config, settings, trace)
+
     def test_reference_row(self):
-        report, peak = full_report(SPEC, DimensionlessParams(W=1.0, lam=50.0))
-        assert report.tau_spm is None  # a = 0: stationary-phase formula diverges
-        assert report.tau_numeric == pytest.approx(10.20, rel=0.01)
-        assert report.v_transit == pytest.approx(4.9013, rel=0.01)
-        assert report.ratio_ana_num == pytest.approx(91.81, abs=1.0)
-        assert peak.panels_max > 0 and peak.refine_iters > 0
+        row = self.row(DimensionlessParams(W=1.0, lam=50.0))
+        assert row.tau_spm is None  # a = 0: stationary-phase formula diverges
+        assert row.tau_num == pytest.approx(10.20, rel=0.01)
+        assert row.v_transit == pytest.approx(4.9013, rel=0.01)
+        assert row.ratio_ana_num == pytest.approx(91.81, abs=1.0)
+        assert row.panels_max > 0 and row.refine_iters > 0
 
     def test_spm_defined_away_from_matched_energies(self):
-        params = DimensionlessParams(W=math.sqrt(2.0), lam=100.0)
-        report, _ = full_report(SPEC, params)
-        assert report.tau_spm == pytest.approx(1.0, rel=1e-12)
-        assert report.tau_new == pytest.approx(0.9995, rel=1e-3)
-        assert report.tau_numeric == pytest.approx(1.0, rel=0.05)
+        row = self.row(DimensionlessParams(W=math.sqrt(2.0), lam=100.0))
+        assert row.tau_spm == pytest.approx(1.0, rel=1e-12)
+        assert row.tau_new == pytest.approx(0.9995, rel=1e-3)
+        assert row.tau_num == pytest.approx(1.0, rel=0.05)
 
     def test_velocity_identity(self):
         params = DimensionlessParams(W=1.0, lam=100.0)
-        report, _ = full_report(SPEC, params)
-        assert report.v_transit == pytest.approx(params.lam / (report.tau_numeric * params.W), rel=1e-12)
-        assert report.ratio_ana_num == pytest.approx(100.0 * report.tau_numeric / report.tau_new, rel=1e-12)
+        row = self.row(params)
+        assert row.v_transit == pytest.approx(params.lam / (row.tau_num * params.W), rel=1e-12)
+        assert row.ratio_ana_num == pytest.approx(100.0 * row.tau_num / row.tau_new, rel=1e-12)
 
     def test_custom_settings_respected(self):
         params = DimensionlessParams(W=1.0, lam=50.0)
-        settings = QuadratureSettings(nodes_per_panel=48)
-        report, _ = full_report(SPEC, params, settings=settings)
-        assert report.tau_numeric == pytest.approx(10.2013, rel=1e-3)
+        row = self.row(params, settings=QuadratureSettings(nodes_per_panel=48))
+        assert row.tau_num == pytest.approx(10.2013, rel=1e-3)
 
     @pytest.mark.parametrize("tau_max", [None, 40.0])
     def test_moments_run_once_and_window_unchanged(self, monkeypatch, tau_max):
-        # the peak window is filled from full_report's own tau_new
+        # the peak window is filled from compute_row's own tau_new
         params = DimensionlessParams(W=1.2, lam=60.0)
         config = PeakSearchConfig(coarse_points=32, tau_max=tau_max)
         window = coarse_scan(SPEC, params, config).taus
@@ -261,6 +265,6 @@ class TestFullReport:
             return real_moments(*args)
 
         monkeypatch.setattr(phasetime, "moments_closed_form", counted)
-        _, peak = full_report(SPEC, params, config)
+        row = self.row(params, config, trace=True)
         assert len(calls) == 1
-        assert peak.scan.taus == window
+        assert [tau for tau, _ in row.trace] == window

@@ -206,6 +206,29 @@ class TestStationaryTimeFull:
                     rel = abs(stationary_time_full(kappa, params) - opaque) / opaque
                     assert rel <= max(10.0 * (1.0 + qL) * math.exp(-2.0 * qL), 1e-14)
 
+    def test_accurate_as_kappa_approaches_w(self):
+        # kappa = W (1 - 10^-r): W^2 - kappa^2 written as a difference cancels
+        def direct(kappa, W, lam):
+            k, W, lam = mp.mpf(kappa), mp.mpf(W), mp.mpf(lam)
+            q = mp.sqrt(W * W - k * k)
+            u, W4 = q * lam, W**4
+            num = k * (W4 * mp.sinh(2 * u) + 2 * k * k * (W * W - 2 * k * k) * u)
+            return num / (q * (W4 * mp.cosh(2 * u) + 8 * k * k * q * q - W4)) / (k * k)
+
+        worst = 0.0
+        with mp.workdps(60):
+            for W in (1.0, 1.2, 2.0, 5.0, 10.0):
+                for lam in (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4):
+                    params = DimensionlessParams(W=W, lam=lam)
+                    for r in range(1, 13):
+                        kappa = W * (1.0 - 10.0**-r)
+                        if lam * math.sqrt((W - kappa) * (W + kappa)) < 1e-2:
+                            continue  # O(u) cancellation in the numerator
+                        oracle = direct(kappa, W, lam)
+                        err = abs((stationary_time_full(kappa, params) - oracle) / oracle)
+                        worst = max(worst, float(err))
+        assert worst <= 1e-11
+
     def test_rejects_kappa_at_or_beyond_w(self):
         params = DimensionlessParams(W=1.0, lam=10.0)
         for bad in (0.0, 1.0, 1.3):
