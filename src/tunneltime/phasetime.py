@@ -62,8 +62,9 @@ class MomentTable:
     rho_max: float
 
     def __post_init__(self) -> None:
-        if not all(s > 0.0 for s in self.values):
-            raise ValueError("all moments must be positive")
+        # `< inf` also rejects nan, which fails every comparison
+        if not all(0.0 < s < math.inf for s in self.values):
+            raise ValueError(f"all moments must be positive and finite (lam = {self.lam:g})")
 
     @property
     def values(self) -> tuple[float, float, float, float, float]:
@@ -97,12 +98,15 @@ def moments_closed_form(params: DimensionlessParams) -> MomentTable:
     if not params.lam > 0.0:
         raise ValueError("moments diverge at lam = 0")
     a, lam = params.a, params.lam
-    s = [
-        _FACT[n]
-        / lam ** (n + 3)
-        * (1.0 + 2.0 * a * lam / (n + 2) + (a * lam) ** 2 / ((n + 2) * (n + 1)))
-        for n in range(5)
-    ]
+    try:
+        s = [
+            _FACT[n]
+            / lam ** (n + 3)
+            * (1.0 + 2.0 * a * lam / (n + 2) + (a * lam) ** 2 / ((n + 2) * (n + 1)))
+            for n in range(5)
+        ]
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"closed-form moments leave the float range at lam = {lam:g}") from None
     return MomentTable(*s, mode="closed-form", a=a, lam=lam, W=params.W, rho_max=math.inf)
 
 

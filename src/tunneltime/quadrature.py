@@ -6,7 +6,8 @@ proportional to panel width, so that the summed error stays below
 rel_tol * |integral|.  All pending panels are evaluated in one vectorized
 call per sweep, which keeps the boundary-layer refinement near the spectrum
 cutoff cheap.  The integrand must accept an ndarray of abscissae and return
-an ndarray of values (real or complex).
+an ndarray of values (real or complex).  The result hands back the
+accepted composite rule and the integrand's values on its nodes.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ class QuadratureSettings:
             raise ValueError("rel_tol must be positive and finite")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    panels: int
-    evaluations: int
-
-
 @lru_cache(maxsize=8)
 def _gl_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -56,19 +50,28 @@ def _gl_nodes(n: int):
 
 
 @dataclass(frozen=True)
-class PanelSet:
-    """Accepted panels [lo_i, hi_i] of an adaptive refinement.
+class QuadratureResult:
+    """Accepted panels [lo_i, hi_i] of an adaptive refinement, and f on them.
 
-    `values` holds each panel's n-node Gauss-Legendre integral; summing them
-    gives the integral, and `nodes()` exposes the same composite rule for
-    other integrands on the node set the refinement chose.
+    `values` holds each panel's n-node Gauss-Legendre integral (their sum is
+    `value`); `nodes()` exposes the composite rule and `samples` holds f at
+    its nodes in `nodes()` order, so f need not be evaluated there again.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     values: np.ndarray
+    samples: np.ndarray
     nodes_per_panel: int
     evaluations: int
+
+    @property
+    def value(self) -> complex:
+        return complex(self.values.sum())
+
+    @property
+    def panels(self) -> int:
+        return self.lo.size
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Abscissae and weights of the composite rule, flattened."""
@@ -77,29 +80,30 @@ class PanelSet:
         return (self.lo[:, None] + width * x01).ravel(), (width * w01).ravel()
 
 
-def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Gauss-Legendre estimates for a batch of panels [lo_i, hi_i]."""
+def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int):
+    """Gauss-Legendre estimates for panels [lo_i, hi_i], and f on their nodes."""
     x01, w01 = _gl_nodes(n)
     width = hi - lo
     out = np.empty(lo.shape[0], dtype=complex)
+    vals = np.empty((lo.shape[0], n), dtype=complex)
     step = max(1, _CHUNK // n)
     for start in range(0, lo.shape[0], step):
         sl = slice(start, start + step)
         nodes = lo[sl, None] + width[sl, None] * x01[None, :]
-        vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+        vals[sl] = np.reshape(f(nodes.ravel()), nodes.shape)
         # einsum, not `vals @ w01`: the matrix-vector product starts BLAS
         # threads, which oversubscribe the CPUs a process pool already fills
-        out[sl] = width[sl] * np.einsum("ij,j->i", vals, w01)
-    return out
+        out[sl] = width[sl] * np.einsum("ij,j->i", vals[sl], w01)
+    return out, vals
 
 
-def adaptive_panels(
+def integrate_adaptive(
     f,
     lo: float,
     hi: float,
     settings: QuadratureSettings | None = None,
     initial_panels: int = 1,
-) -> PanelSet:
+) -> QuadratureResult:
     """Refine [lo, hi] until every panel's integral of f meets settings.rel_tol.
 
     initial_panels seeds a uniform subdivision before refinement (used by
@@ -118,13 +122,13 @@ def adaptive_panels(
 
     edges = np.linspace(lo, hi, n_init + 1)
     act_lo, act_hi = edges[:-1], edges[1:]
-    act_parent = _panel_integrals(f, act_lo, act_hi, n)
+    act_parent, _ = _panel_integrals(f, act_lo, act_hi, n)
     evaluations = n_init * n
 
     total_width = hi - lo
     done_sum = 0.0 + 0.0j
     done_panels = 0
-    accepted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    accepted: list[tuple[np.ndarray, ...]] = []
 
     while act_lo.size:
         n_act = act_lo.size
@@ -133,9 +137,9 @@ def adaptive_panels(
                 f"needed more than max_panels={settings.max_panels} panels"
             )
         mid = 0.5 * (act_lo + act_hi)
-        child = _panel_integrals(
-            f, np.concatenate([act_lo, mid]), np.concatenate([mid, act_hi]), n
-        )
+        # the halves of every active panel: all left halves, then all right
+        half_lo, half_hi = np.concatenate([act_lo, mid]), np.concatenate([mid, act_hi])
+        child, child_f = _panel_integrals(f, half_lo, half_hi, n)
         evaluations += 2 * n_act * n
         left, right = child[:n_act], child[n_act:]
         pair = left + right
@@ -151,38 +155,10 @@ def adaptive_panels(
 
         done_sum += pair[ok].sum()
         done_panels += 2 * int(np.count_nonzero(ok))
-        accepted.append((
-            np.concatenate([act_lo[ok], mid[ok]]),
-            np.concatenate([mid[ok], act_hi[ok]]),
-            np.concatenate([left[ok], right[ok]]),
-        ))
+        both = np.concatenate([ok, ok])
+        accepted.append((half_lo[both], half_hi[both], child[both], child_f[both]))
+        keep = ~both
+        act_parent, act_lo, act_hi = child[keep], half_lo[keep], half_hi[keep]
 
-        keep = ~ok
-        act_parent = np.concatenate([left[keep], right[keep]])
-        act_lo, act_hi = (
-            np.concatenate([act_lo[keep], mid[keep]]),
-            np.concatenate([mid[keep], act_hi[keep]]),
-        )
-
-    p_lo, p_hi, values = (np.concatenate(part) for part in zip(*accepted))
-    return PanelSet(p_lo, p_hi, values, n, evaluations)
-
-
-def integrate_adaptive(
-    f,
-    lo: float,
-    hi: float,
-    settings: QuadratureSettings | None = None,
-    initial_panels: int = 1,
-) -> QuadratureResult:
-    """Integrate a vectorized integrand over [lo, hi] to settings.rel_tol.
-
-    The sum over the accepted panels of `adaptive_panels`, which documents
-    the arguments and raises QuadratureError when max_panels is hit.
-    """
-    panels = adaptive_panels(f, lo, hi, settings, initial_panels)
-    return QuadratureResult(
-        value=complex(panels.values.sum()),
-        panels=panels.lo.size,
-        evaluations=panels.evaluations,
-    )
+    p_lo, p_hi, values, samples = (np.concatenate(part) for part in zip(*accepted))
+    return QuadratureResult(p_lo, p_hi, values, samples.ravel(), n, evaluations)

@@ -16,9 +16,11 @@ adaptively; its initial panel count grows linearly with |tau| to resolve
 the chirp e^{-i kappa^2 tau} before refinement takes over.
 `exit_amplitude` serves many times at the exit xi = 0: it refines the
 tau-independent factor (times e^{a lam}) once, on panels seeded for the
-chirp at the largest |tau| (and therefore at every smaller one), keeps the
-nodes with |amp_j| > eps * sum|amp| / N (eps the double-precision machine
-epsilon, N the node count), and then
+chirp at the largest |tau| (and therefore at every smaller one).  The
+refinement hands back the factor on its accepted nodes, so each node is
+evaluated once: amp_j is the node's weight times that value.  It keeps
+the nodes with |amp_j| > eps * sum|amp| / N (eps the double-precision
+machine epsilon, N the node count), and then
 Phi_T(0, tau) = sum_j amp_j e^{-i kappa_j^2 tau} costs one exponential per
 kept node and time.  The dropped terms move Phi_T by at most
 eps * sum|amp| at any tau, and |Phi_T| ~ sum|amp| at the peak.  Near
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import spectrum as _spectrum
 from . import transmission
-from .quadrature import QuadratureResult, QuadratureSettings, adaptive_panels, integrate_adaptive
+from .quadrature import QuadratureResult, QuadratureSettings, integrate_adaptive
 from .spectrum import Spectrum
 from .units import DimensionlessParams
 
@@ -125,12 +127,12 @@ def exit_amplitude(
     """
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
-    amplitude = _amplitude(spec, params, log_scale)
-    panels = adaptive_panels(
-        amplitude, 0.0, 1.0, settings, initial_panels=_initial_panels(0.0, time_bound)
+    rule = integrate_adaptive(
+        _amplitude(spec, params, log_scale), 0.0, 1.0, settings,
+        initial_panels=_initial_panels(0.0, time_bound),
     )
-    kappa, weights = panels.nodes()
-    amp = weights * amplitude(kappa)
+    kappa, weights = rule.nodes()  # rule.samples: the amplitude on these nodes
+    amp = weights * rule.samples
     # the dropped terms change Phi at any tau by at most eps * sum|amp|
     mag = np.abs(amp)
     keep = mag > np.finfo(float).eps * mag.sum() / mag.size
@@ -138,7 +140,7 @@ def exit_amplitude(
     return ExitAmplitude(
         kappa2=kappa * kappa,
         amp=amp[keep],
-        panels=panels.lo.size,
+        panels=rule.panels,
         log_scale=log_scale,
     )
 

@@ -77,6 +77,17 @@ def test_partial_failure_exit_code(tmp_path):
     assert any(n == "" or n.startswith("tau_spm") for n in notes)
 
 
+def test_lambda_outside_the_float_range_fails_its_row_only(tmp_path):
+    # the closed-form moments overflow at lam = 1e50; the rest of the grid
+    # still runs and is written
+    out, alone = tmp_path / "mixed.csv", tmp_path / "alone.csv"
+    assert main(["table1", "--lambda", "50,1e50", "--out", str(out)]) == 3
+    assert main(["table1", "--lambda", "50", "--out", str(alone)]) == 0
+    assert out.read_text().splitlines()[1] == alone.read_text().splitlines()[1]
+    bad = read_rows(out)[1]
+    assert bad.lam == 1e50 and bad.note.startswith("failed:") and "lam = 1e+50" in bad.note
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["single", "--lambda", "30"]) == 0

@@ -125,6 +125,13 @@ class TestRows:
         assert row.note.startswith("failed:")
         assert row.tau_num is None and row.v_transit is None
 
+    @pytest.mark.parametrize("lam", [1e50, 1e-50])
+    @pytest.mark.parametrize("w", [1.0, 2.0])
+    def test_lambda_outside_the_float_range_is_a_failed_row(self, w, lam):
+        row = compute_row(lam, w, Spectrum(), PeakSearchConfig(), QuadratureSettings())
+        assert row.note == f"failed: closed-form moments leave the float range at lam = {lam:g}"
+        assert row.tau_new is None and row.tau_num is None
+
     def test_window_hit_noted(self):
         spec = Spectrum()
         cfg = PeakSearchConfig(tau_min=40.0, tau_max=80.0, coarse_points=32)
@@ -376,4 +383,11 @@ def test_benchmark_tracer_sees_the_point_path(monkeypatch):
     while root.parent != -1:
         root = by_id[root.parent]
     assert root is row_span
-    assert sum(s.attr for s in named(layers.MODULUS_PHASE)) > 0
+    # the engine's one refinement runs through the wrapped quadrature, and
+    # it hands back the amplitude on its nodes: no node is evaluated twice
+    (peak,) = named(layers.PEAK_ARRIVAL)
+    (quad,) = named(layers.QUADRATURE)
+    assert quad.parent == peak.id
+    evaluations, panels = quad.attr
+    assert panels == row.panels_max
+    assert sum(s.attr for s in named(layers.MODULUS_PHASE)) == evaluations > 0

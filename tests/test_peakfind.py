@@ -14,7 +14,7 @@ from tunneltime.peakfind import (
     default_window,
     peak_arrival,
 )
-from tunneltime.quadrature import QuadratureSettings, adaptive_panels
+from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
 from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import density_at_exit
@@ -150,7 +150,7 @@ def test_pruned_engine_within_eps_of_the_full_node_set(w, lam):
         return spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
 
     seed = wavepacket._initial_panels(0.0, scan.taus[-1])
-    panels = adaptive_panels(amplitude, 0.0, 1.0, initial_panels=seed)
+    panels = integrate_adaptive(amplitude, 0.0, 1.0, initial_panels=seed)
     kappa, weights = panels.nodes()
     kappa2, amp = kappa * kappa, weights * amplitude(kappa)
     total = np.abs(amp).sum()

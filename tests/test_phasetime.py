@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -122,6 +123,17 @@ class TestMoments:
     def test_all_moments_positive_enforced(self):
         with pytest.raises(ValueError):
             MomentTable(1.0, 1.0, 0.0, 1.0, 1.0, mode="closed-form", a=0.0, lam=1.0, W=1.0, rho_max=math.inf)
+        for bad in (math.inf, math.nan):  # `s > 0` alone lets inf through
+            with pytest.raises(ValueError, match="finite"):
+                MomentTable(1.0, 1.0, 1.0, 1.0, bad, mode="closed-form", a=0.0, lam=1.0, W=1.0, rho_max=math.inf)
+
+    @pytest.mark.parametrize("lam", [1e50, 1e-50, 1e-44])
+    @pytest.mark.parametrize("w", [1.0, 2.0])
+    def test_closed_form_out_of_float_range_names_lam(self, w, lam):
+        # lam ** (n + 3) overflows (1e50) or underflows to 0 (1e-50); at
+        # 1e-44 it is subnormal and s4 comes out inf
+        with pytest.raises(ValueError, match=re.escape(f"lam = {lam:g}")):
+            moments_closed_form(DimensionlessParams(W=w, lam=lam))
 
 
 class TestSCoefficients:

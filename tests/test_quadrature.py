@@ -7,7 +7,6 @@ from scipy.special import erf
 from tunneltime.quadrature import (
     QuadratureError,
     QuadratureSettings,
-    adaptive_panels,
     integrate_adaptive,
 )
 
@@ -86,11 +85,17 @@ def test_accepted_panels_tile_interval_and_integrate_f():
         return np.exp(1j * 37.0 * x) + np.sqrt(1.0 - x)  # chirp-like plus a cusp
 
     exact = (np.exp(37j) - 1.0) / 37j + 2.0 / 3.0
-    panels = adaptive_panels(f, 0.0, 1.0, initial_panels=8)
-    order = np.argsort(panels.lo)
-    assert panels.lo[order][0] == 0.0 and panels.hi[order][-1] == 1.0
-    assert np.array_equal(panels.lo[order][1:], panels.hi[order][:-1])
-    x, w = panels.nodes()
-    assert x.size == panels.lo.size * 32
+    rule = integrate_adaptive(f, 0.0, 1.0, initial_panels=8)
+    order = np.argsort(rule.lo)
+    assert rule.lo[order][0] == 0.0 and rule.hi[order][-1] == 1.0
+    assert np.array_equal(rule.lo[order][1:], rule.hi[order][:-1])
+    assert rule.panels == rule.lo.size == rule.hi.size == rule.values.size
+    x, w = rule.nodes()
+    assert x.size == rule.panels * 32
     assert np.all((x > 0.0) & (x < 1.0))
-    assert np.sum(w * f(x)) == pytest.approx(exact, rel=1e-8)
+    # the samples are f on the very nodes of the rule, bit for bit
+    assert rule.samples.dtype == complex
+    np.testing.assert_array_equal(rule.samples, f(x))
+    assert rule.value == complex(rule.values.sum())
+    assert rule.value == pytest.approx(exact, rel=1e-8)
+    assert np.sum(w * rule.samples) == pytest.approx(exact, rel=1e-8)
