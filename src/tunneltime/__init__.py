@@ -5,6 +5,16 @@ a moment-based phase-time formula, and a full spectral wave-packet
 simulation with peak-arrival detection.
 """
 
+import os
+import sys
+
+# The package makes no BLAS call, and the thread pool OpenBLAS starts when
+# numpy loads only spins.  Ask for a single-threaded OpenBLAS unless the user
+# chose a count, or numpy is already loaded and the setting could no longer
+# take effect (it would only leak into that program's subprocesses).
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .peakfind import PeakResult, PeakSearchConfig, peak_arrival
 from .phasetime import (
     MomentTable,

@@ -168,10 +168,17 @@ def phase_time_moments(moments: MomentTable, params: DimensionlessParams) -> flo
     a = params.a
     A, B, C = moments.combinations()
     W2 = params.W**2
+    num = 2.0 * W2 * B + 4.0 * a * A
     den = C + 4.0 * a * B + 4.0 * a * a * A
+    # finite moments can still overflow here: s0 * s4 is inf for lam below
+    # ~1e-31, and 2 W^2 B is -inf at W ~ 1e16 a little above that lam
+    if not all(math.isfinite(x) for x in (A, B, C, num, den)):
+        raise ValueError(
+            f"moment combinations overflow the float range at lam = {params.lam:g}"
+        )
     if den == 0.0:
         raise ValueError("vanishing denominator in moment phase time")
-    tau = (2.0 * W2 * B + 4.0 * a * A) / den
+    tau = num / den
     if not tau > 0.0:
         raise ValueError(f"moment phase time came out non-positive: {tau}")
     return tau

@@ -91,8 +91,9 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int):
         sl = slice(start, start + step)
         nodes = lo[sl, None] + width[sl, None] * x01[None, :]
         vals[sl] = np.reshape(f(nodes.ravel()), nodes.shape)
-        # einsum, not `vals @ w01`: the matrix-vector product starts BLAS
-        # threads, which oversubscribe the CPUs a process pool already fills
+        # einsum, not `vals @ w01`: it makes no BLAS call, so no BLAS threads
+        # run even when the user raises OPENBLAS_NUM_THREADS, and it keeps
+        # the summation order, hence the bits, of every integral
         out[sl] = width[sl] * np.einsum("ij,j->i", vals[sl], w01)
     return out, vals
 

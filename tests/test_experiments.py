@@ -132,6 +132,12 @@ class TestRows:
         assert row.note == f"failed: closed-form moments leave the float range at lam = {lam:g}"
         assert row.tau_new is None and row.tau_num is None
 
+    @pytest.mark.parametrize("w", [1.0, 2.0])
+    def test_moment_combination_overflow_is_a_failed_row(self, w):
+        row = compute_row(1e-40, w, Spectrum(), PeakSearchConfig(), QuadratureSettings())
+        assert row.note == "failed: moment combinations overflow the float range at lam = 1e-40"
+        assert row.tau_new is None and row.tau_num is None
+
     def test_window_hit_noted(self):
         spec = Spectrum()
         cfg = PeakSearchConfig(tau_min=40.0, tau_max=80.0, coarse_points=32)

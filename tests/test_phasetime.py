@@ -135,6 +135,27 @@ class TestMoments:
         with pytest.raises(ValueError, match=re.escape(f"lam = {lam:g}")):
             moments_closed_form(DimensionlessParams(W=w, lam=lam))
 
+    @pytest.mark.parametrize(
+        "w, lam",
+        [(w, lam) for w in (1.0, 2.0) for lam in (1e-40, 1e-34, 1e-32)] + [(2e16, 4e-31)],
+    )
+    def test_combination_overflow_names_lam(self, w, lam):
+        # the moments are finite, but s0 * s4 is inf (A, B, C inf or nan), or
+        # at W = 2e16 the numerator 2 W^2 B is -inf and tau would be inf
+        params = DimensionlessParams(W=w, lam=lam)
+        moments = moments_closed_form(params)
+        with pytest.raises(ValueError) as exc:
+            phase_time_moments(moments, params)
+        message = str(exc.value)
+        assert f"lam = {lam:g}" in message and "overflow" in message
+        assert "nan" not in message
+
+    @pytest.mark.parametrize("w", [1.0, 2.0])
+    def test_smallest_lam_in_range_still_has_a_phase_time(self, w):
+        params = DimensionlessParams(W=w, lam=1e-30)
+        tau = phase_time_moments(moments_closed_form(params), params)
+        assert 0.0 < tau < math.inf
+
 
 class TestSCoefficients:
     def test_alpha_beta_zeros(self):
