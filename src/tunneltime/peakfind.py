@@ -1,12 +1,14 @@
 """Peak-arrival detection at the barrier exit.
 
 The numerical phase time is the time at which |Phi_T(L, t)|^2 is maximal:
-a coarse scan over a bracketing window followed by derivative-free
-golden-section refinement.  Both evaluate the density on one node set per
-configuration (`wavepacket.exit_amplitude`), built once for the whole
-window, so the density is a smooth function of tau with no panel-set noise.
-The coarse scan advances every node's phase factor by one grid step per
-sample; refinement evaluates the sum directly.  The search runs on the
+a coarse scan over a bracketing window, then bisection of the bracket
+around the coarse argmax on the sign of d|Phi_T|^2/dtau (near the flat
+maximum density values differ by less than their rounding; the slope's
+sign does not).  Both evaluate one node set per configuration
+(`wavepacket.exit_amplitude`), built once for the whole window, so the
+density is a smooth function of tau with no panel-set noise.  The coarse
+scan advances every node's phase factor by one grid step per sample;
+bisection evaluates the sums directly.  The search runs on the
 exp-rescaled density (common factor e^{2 a lam} pulled out), which leaves
 the argmax untouched and keeps opaque configurations representable.
 One rule (`search_window`) fills each unset window bound from
@@ -25,9 +27,6 @@ from . import phasetime, wavepacket
 from .quadrature import QuadratureSettings
 from .spectrum import Spectrum
 from .units import DimensionlessParams
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class PeakSearchConfig:
@@ -137,40 +136,33 @@ def peak_arrival(
 
     window_hit is set (and refinement skipped) when the coarse argmax lies
     within one grid step of a window boundary; the caller must widen.
-    refined is False when golden-section refinement did not run: on a
-    window hit, or when the coarse scan is not unimodal at its argmax (the
-    unrefined grid argmax is returned).
+    Otherwise the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax
+    is bisected on the sign of `ExitAmplitude.slope` down to refine_tol,
+    and its midpoint is within refine_tol / 2 of the density's stationary
+    point.  refined is False when bisection did not run: on a window hit,
+    or when the scan is not unimodal at its argmax or the slope does not
+    fall from + to - across the bracket (the grid argmax is returned).
     """
     config = config or PeakSearchConfig()
     scan = coarse_scan(spec, params, config, settings)
     taus, dens, phi = scan.taus, scan.densities, scan.amplitude
-    n = len(taus)
     i_best = int(np.argmax(dens))
-
-    def scaled_density(tau: float) -> float:
-        return abs(phi(tau)) ** 2
-
-    window_hit = i_best <= 1 or i_best >= n - 2
-    # Local three-point unimodality check before trusting the bracket.
+    window_hit = i_best <= 1 or i_best >= len(taus) - 2
+    # three-point unimodality and a + to - slope change before trusting the bracket
     refined = not window_hit and bool(dens[i_best - 1] < dens[i_best] > dens[i_best + 1])
+    refined = refined and phi.slope(taus[i_best - 1]) > 0.0 >= phi.slope(taus[i_best + 1])
     tau_peak, scaled_peak, iters = taus[i_best], float(dens[i_best]), 0
     if refined:
         lo, hi = taus[i_best - 1], taus[i_best + 1]
-        c = hi - _INV_GOLDEN * (hi - lo)
-        d = lo + _INV_GOLDEN * (hi - lo)
-        fc, fd = scaled_density(c), scaled_density(d)
         while hi - lo > config.refine_tol:
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INV_GOLDEN * (hi - lo)
-                fc = scaled_density(c)
+            mid = 0.5 * (lo + hi)
+            if phi.slope(mid) > 0.0:
+                lo = mid
             else:
-                lo, c, fc = c, d, fd
-                d = lo + _INV_GOLDEN * (hi - lo)
-                fd = scaled_density(d)
+                hi = mid
             iters += 1
         tau_peak = 0.5 * (lo + hi)
-        scaled_peak = scaled_density(tau_peak)
+        scaled_peak = abs(phi(tau_peak)) ** 2
     return PeakResult(
         tau_peak=tau_peak,
         density_peak=phi.unscale(scaled_peak),

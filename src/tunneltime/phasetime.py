@@ -73,7 +73,14 @@ class MomentTable:
     def combinations(self) -> tuple[float, float, float]:
         """The three moment combinations (A, B, C) entering S(tau)."""
         s0, s1, s2, s3, s4 = self.values
-        return (s1 * s1 - s0 * s2, s1 * s2 - s0 * s3, s2 * s2 - s0 * s4)
+        # finite moments can still overflow here: s0 * s4 is inf below lam ~ 1e-31
+        return self.check_finite(s1 * s1 - s0 * s2, s1 * s2 - s0 * s3, s2 * s2 - s0 * s4)
+
+    def check_finite(self, *values: float) -> tuple[float, ...]:
+        """values formed from the moments; ValueError naming lam if one is not finite."""
+        if all(map(math.isfinite, values)):
+            return values
+        raise ValueError(f"moment combinations overflow the float range at lam = {self.lam:g}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +143,14 @@ def model_density(moments: MomentTable, params: DimensionlessParams, tau: float)
     """Quadratic model of the exit density, S(tau) up to a constant factor."""
     A, B, C = moments.combinations()
     co = s_coefficients(params, tau)
-    return (
+    density = (
         moments.s0**2
         + co.alpha**2 * A
         + 2.0 * co.alpha * co.beta * B
         + co.beta**2 * C
     )
+    moments.check_finite(density)
+    return density
 
 
 def model_density_argmax(moments: MomentTable, params: DimensionlessParams) -> float:
@@ -153,10 +162,12 @@ def model_density_argmax(moments: MomentTable, params: DimensionlessParams) -> f
     a = params.a
     A, B, C = moments.combinations()
     W2 = params.W**2
+    num = 4.0 * a * A + 2.0 * W2 * B + a * C
     den = 4.0 * a * a * A + 4.0 * a * B + C
+    moments.check_finite(num, den)
     if den == 0.0:
         raise ValueError("vanishing denominator in model density argmax")
-    return (4.0 * a * A + 2.0 * W2 * B + a * C) / den
+    return num / den
 
 
 def phase_time_moments(moments: MomentTable, params: DimensionlessParams) -> float:
@@ -170,12 +181,8 @@ def phase_time_moments(moments: MomentTable, params: DimensionlessParams) -> flo
     W2 = params.W**2
     num = 2.0 * W2 * B + 4.0 * a * A
     den = C + 4.0 * a * B + 4.0 * a * a * A
-    # finite moments can still overflow here: s0 * s4 is inf for lam below
-    # ~1e-31, and 2 W^2 B is -inf at W ~ 1e16 a little above that lam
-    if not all(math.isfinite(x) for x in (A, B, C, num, den)):
-        raise ValueError(
-            f"moment combinations overflow the float range at lam = {params.lam:g}"
-        )
+    # 2 W^2 B is -inf at W ~ 1e16 a little above lam ~ 1e-31
+    moments.check_finite(num, den)
     if den == 0.0:
         raise ValueError("vanishing denominator in moment phase time")
     tau = num / den

@@ -43,8 +43,8 @@ class Spectrum:
             raise ValueError(f"kappa0 must lie in (0, 1), got {self.kappa0}")
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.norm < 0.0:
-            raise ValueError(f"norm must be non-negative, got {self.norm}")
+        if not 0.0 <= self.norm < math.inf:
+            raise ValueError(f"norm must be non-negative and finite, got {self.norm}")
 
 
 def evaluate(spec: Spectrum, kappa):

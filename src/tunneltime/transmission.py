@@ -66,14 +66,6 @@ def _kernel(u: np.ndarray, b: np.ndarray, log_scale: float = 0.0):
     return modulus, np.arctan(bs / c)
 
 
-def _u_b(kappa: np.ndarray, params: DimensionlessParams):
-    W, lam = params.W, params.lam
-    g = np.sqrt(np.maximum(W * W - kappa * kappa, 0.0))
-    u = lam * g
-    b = (2.0 * kappa * kappa - W * W) * lam / (2.0 * kappa)
-    return u, b
-
-
 def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0):
     """Vectorized |T(kappa)| * e^{log_scale} and phase phi(kappa).
 
@@ -85,7 +77,9 @@ def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0):
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa <= 0.0) or np.any(kappa > params.W):
         raise ValueError("kappa must lie in (0, W]")
-    u, b = _u_b(kappa, params)
+    W, lam = params.W, params.lam
+    u = lam * np.sqrt((W - kappa) * (W + kappa))  # no cancellation as kappa -> W
+    b = (2.0 * kappa * kappa - W * W) * lam / (2.0 * kappa)
     return _kernel(u, b, log_scale)
 
 
@@ -106,7 +100,7 @@ def amplitude_opaque(kappa, params: DimensionlessParams):
     if np.any(kappa <= 0.0) or np.any(kappa > 1.0):
         raise ValueError("kappa must lie in (0, 1]")
     W, lam = params.W, params.lam
-    g = np.sqrt(np.maximum(W * W - kappa * kappa, 0.0))
+    g = np.sqrt((W - kappa) * (W + kappa))  # kappa <= 1 <= W
     out = 4.0 * kappa * g * np.exp(-lam * g) / (W * W)
     if out.ndim == 0:
         return float(out)

@@ -106,6 +106,11 @@ class ExitAmplitude:
     def __call__(self, time: float) -> complex:
         return complex(np.sum(self.amp * np.exp(-1j * time * self.kappa2)))
 
+    def slope(self, time: float) -> float:
+        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau at time."""
+        terms = self.amp * np.exp(-1j * time * self.kappa2)
+        return float((np.conj(terms.sum()) * np.sum(self.kappa2 * terms)).imag)
+
     def unscale(self, scaled_density):
         """|Phi_T|^2 from a density |self(tau)|^2 (scalar or array)."""
         return scaled_density * math.exp(-2.0 * self.log_scale)

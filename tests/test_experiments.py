@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import importlib.util
 import math
@@ -240,31 +239,11 @@ class TestCsv:
 
 @pytest.mark.parametrize("experiment", ["table1", "fig1", "fig2"])
 def test_committed_results_match_a_fresh_run(tmp_path, experiment):
-    # results/ is what the CLI writes today.  On the flat W = 1 peaks,
-    # rounding-level density changes can move the golden-section search by
-    # up to refine_tol, so tau_num (and v_transit, ratio_ana_num, which are
-    # proportional to 1/tau_num and tau_num) get 1e-4 rel + 2e-4 abs; fig2's
-    # sharp peaks and every other column must match exactly
+    # results/ is what the CLI writes today, byte for byte
     out = tmp_path / f"{experiment}.csv"
     rows, _ = run_experiment(build_config(experiment, {"workers": "1"}))
     write_rows(out, rows)
-    committed = RESULTS / f"{experiment}.csv"
-    if experiment == "fig2":
-        assert out.read_bytes() == committed.read_bytes()
-        return
-    fresh, ref = (list(csv.reader(path.read_text().splitlines())) for path in (out, committed))
-    assert fresh[0] == ref[0] and len(fresh) == len(ref)
-    tau_col = CSV_HEADER.index("tau_num[hbar/E_M]")
-    derived = {tau_col, CSV_HEADER.index("v_transit[sqrt(V0/2m)]"),
-               CSV_HEADER.index("ratio_ana_num[%]")}
-    for got, want in zip(fresh[1:], ref[1:]):
-        assert [c for i, c in enumerate(got) if i not in derived] == [
-            c for i, c in enumerate(want) if i not in derived
-        ]
-        tau = float(want[tau_col])
-        rel = 1e-4 + 2e-4 / abs(tau)
-        for i in derived:
-            assert float(got[i]) == pytest.approx(float(want[i]), rel=rel)
+    assert out.read_bytes() == (RESULTS / f"{experiment}.csv").read_bytes()
 
 
 class TestSweeps:

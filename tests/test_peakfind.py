@@ -19,11 +19,11 @@ from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import density_at_exit
 
-# golden-refined 2e6-node trapezoid oracle peak times (kappa0 = 0.5, delta = 10)
+# peak times of the exit density on a 2e6-node trapezoid rule (kappa0 = 0.5,
+# delta = 10); each lies within 2e-6 of the root of that density's slope
 ORACLE_PEAKS = {
     (1.0, 50.0): 10.201280593681101,
     (1.0, 100.0): 21.40659608026295,
-    (1.0, 500.0): 108.52987312276105,
     (1.5, 100.0): 0.902774284044136,
     (2.0, 100.0): 0.6047014259120121,
 }
@@ -48,13 +48,37 @@ def test_default_window_brackets_reference_peak():
     assert lo < 21.41 < hi
 
 
-@pytest.mark.parametrize("w,lam", [(1.0, 50.0), (1.0, 100.0), (1.5, 100.0)])
+@pytest.mark.parametrize("w,lam", sorted(ORACLE_PEAKS))
 def test_peak_against_trapezoid_oracle(w, lam):
+    # bisection stops at a bracket of refine_tol and returns its midpoint
     params = DimensionlessParams(W=w, lam=lam)
     result = peak_arrival(SPEC, params)
-    assert not result.window_hit
+    assert not result.window_hit and result.refined
     assert result.density_peak > 0.0
-    assert result.tau_peak == pytest.approx(ORACLE_PEAKS[(w, lam)], rel=5e-4)
+    half_tol = PeakSearchConfig().refine_tol / 2
+    assert result.tau_peak == pytest.approx(ORACLE_PEAKS[(w, lam)], abs=half_tol)
+
+
+def test_peak_independent_of_the_node_set():
+    # near the flat W = 1 maximum, density values differ by less than their
+    # rounding, but the sign of their slope does not: the node set moves
+    # the bisected peak by less than refine_tol
+    params = DimensionlessParams(W=1.0, lam=500.0)
+    node_sets = (
+        QuadratureSettings(rel_tol=1e-8),
+        QuadratureSettings(rel_tol=1e-10),
+        QuadratureSettings(rel_tol=1e-12, nodes_per_panel=64),
+    )
+    taus = [peak_arrival(SPEC, params, settings=s).tau_peak for s in node_sets]
+    assert max(taus) - min(taus) <= PeakSearchConfig().refine_tol
+
+
+@pytest.mark.parametrize("w,lam,tau", [(1.0, 100.0, 15.0), (1.0, 100.0, 30.0), (1.5, 100.0, 0.7)])
+def test_slope_is_half_the_density_derivative(w, lam, tau):
+    phi = coarse_scan(SPEC, DimensionlessParams(W=w, lam=lam)).amplitude
+    h = 1e-4 * tau
+    diff = (abs(phi(tau + h)) ** 2 - abs(phi(tau - h)) ** 2) / (2 * h)
+    assert 2.0 * phi.slope(tau) == pytest.approx(diff, rel=1e-7, abs=0.0)
 
 
 def test_peak_scaling_invariance():
@@ -107,6 +131,19 @@ def test_non_unimodal_scan_returned_unrefined(monkeypatch):
     assert not result.window_hit and not result.refined
     assert result.refine_iters == 0
     assert result.tau_peak == scan.taus[int(np.argmax(scan.densities))]
+
+
+def test_no_slope_sign_change_returned_unrefined(monkeypatch):
+    # a unimodal three-point scan whose slope does not fall from + to -
+    # across the bracket is not refined either
+    monkeypatch.setattr(wavepacket.ExitAmplitude, "slope", lambda self, tau: 1.0)
+    params = DimensionlessParams(W=1.0, lam=100.0)
+    cfg = PeakSearchConfig(coarse_points=64)
+    result = peak_arrival(SPEC, params, cfg)
+    assert not result.window_hit and not result.refined
+    assert result.refine_iters == 0
+    row = compute_row(params.lam, params.W, SPEC, cfg, QuadratureSettings())
+    assert row.note.startswith("unrefined:") and row.tau_num == result.tau_peak
 
 
 @pytest.mark.parametrize("w,lam", [(1.0, 100.0), (1.5, 100.0), (1.0, 500.0)])

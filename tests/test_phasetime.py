@@ -141,14 +141,20 @@ class TestMoments:
     )
     def test_combination_overflow_names_lam(self, w, lam):
         # the moments are finite, but s0 * s4 is inf (A, B, C inf or nan), or
-        # at W = 2e16 the numerator 2 W^2 B is -inf and tau would be inf
+        # at W = 2e16 the numerator 2 W^2 B is -inf and tau would be inf;
+        # every consumer of the combinations raises the same error
         params = DimensionlessParams(W=w, lam=lam)
         moments = moments_closed_form(params)
-        with pytest.raises(ValueError) as exc:
-            phase_time_moments(moments, params)
-        message = str(exc.value)
-        assert f"lam = {lam:g}" in message and "overflow" in message
-        assert "nan" not in message
+        for consumer in (
+            phase_time_moments,
+            model_density_argmax,
+            lambda m, p: model_density(m, p, 1.0),
+        ):
+            with pytest.raises(ValueError) as exc:
+                consumer(moments, params)
+            message = str(exc.value)
+            assert f"lam = {lam:g}" in message and "overflow" in message
+            assert "nan" not in message
 
     @pytest.mark.parametrize("w", [1.0, 2.0])
     def test_smallest_lam_in_range_still_has_a_phase_time(self, w):

@@ -37,8 +37,10 @@ def test_spectrum_validation():
         Spectrum(delta=0.0)
     with pytest.raises(ValueError):
         Spectrum(delta=float("inf"))
-    with pytest.raises(ValueError):
-        Spectrum(norm=-1.0)
+    for bad in (-1.0, math.nan, math.inf):  # nan and inf would refine a nan integrand
+        with pytest.raises(ValueError, match="norm"):
+            Spectrum(norm=bad)
+    assert Spectrum(norm=0.0).norm == 0.0
 
 
 def test_mean_k_transparent_barrier_is_spectrum_mean():

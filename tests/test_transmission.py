@@ -89,6 +89,18 @@ def test_phase_continuous_across_sign_change():
     assert abs(phases[2] - phases[0]) < 1e-5
 
 
+@pytest.mark.parametrize("W", [1.0, 1.2, 2.0])
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e6])
+def test_accurate_within_1e_10_of_w(W, lam):
+    # W^2 - kappa^2 written as a difference cancels as kappa -> W
+    params = DimensionlessParams(W=W, lam=lam)
+    for kappa in (W - 1e-10, W - 3e-11):
+        (mod,), (ph,) = modulus_phase(np.array([kappa]), params)
+        ref_mod, ref_ph = _reference_modulus_phase(kappa, W, lam)
+        assert mod == pytest.approx(ref_mod, rel=1e-13, abs=0.0)
+        assert ph == pytest.approx(ref_ph, rel=1e-13, abs=0.0)
+
+
 def test_no_overflow_deep_in_opaque_regime():
     params = DimensionlessParams(W=1.0, lam=500.0)
     mod, ph = modulus_phase(np.linspace(1e-3, 1.0, 64), params)
