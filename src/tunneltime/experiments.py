@@ -2,7 +2,8 @@
 
 Every experiment runs the same pipeline: the W-major product of its lambda
 and w_ratio grids, one `compute_row` per point (the only function that
-turns a point into its phase times), serially or in a process pool;
+turns a point into its phase times), in one process unless `workers` or
+TUNNELTIME_WORKERS asks for a process pool;
 `single` is the one-point grid and the only experiment that may also
 return the exit-density trace of its row.  The experiments differ only in
 their default grids (`_GRIDS`).  Configs are flat ``key = value`` text
@@ -23,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -107,7 +108,7 @@ class ExperimentConfig:
     out: Path | None = None
     trace: bool = False
     plot_script: bool = False
-    workers: int = 0  # 0 -> WORKERS_ENV, else available parallelism
+    workers: int = 0  # 0 -> WORKERS_ENV (unset -> 1, 0 -> available parallelism)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -231,10 +232,10 @@ def build_config(
 
 
 def _env_workers() -> int:
-    """Worker count from WORKERS_ENV; unset or 0 -> the available parallelism."""
+    """Worker count from WORKERS_ENV; unset -> 1, 0 -> the available parallelism."""
     env = os.environ.get(WORKERS_ENV, "").strip()
     try:
-        workers = int(env or 0)
+        workers = int(env or 1)
         if workers < 0:
             raise ValueError
     except ValueError:
@@ -372,6 +373,18 @@ def run_experiment(config: ExperimentConfig):
     if workers == 1:
         rows = list(map(compute_row, *args))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # through the module: its __getattr__ imports the class on first use
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             rows = list(pool.map(compute_row, *args))
     return rows, rows[0].trace
+
+
+def __getattr__(name: str):
+    # PEP 562, as in concurrent.futures: only a run that builds a pool
+    # imports the pool modules
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -88,6 +88,16 @@ def test_lambda_outside_the_float_range_fails_its_row_only(tmp_path):
     assert bad.lam == 1e50 and bad.note.startswith("failed:") and "lam = 1e+50" in bad.note
 
 
+def test_wide_barrier_at_matched_energies_runs_under_the_default_max_panels(tmp_path):
+    # the exit amplitude is refined on its support below the cutoff, so the
+    # panel count does not grow with lam (it used to need more than 4096)
+    out = tmp_path / "wide.csv"
+    assert main(["single", "--lambda", "3000", "--w-ratio", "1", "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert row.note == "tau_spm diverges (E_M = V0)" and row.refine_iters > 0
+    assert row.panels_max < 100
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["single", "--lambda", "30"]) == 0

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -264,7 +265,8 @@ class TestSweeps:
 
     @pytest.mark.parametrize("env", [None, "0"])
     def test_zero_workers_means_available_parallelism(self, monkeypatch, env):
-        # workers = 0 defers to TUNNELTIME_WORKERS; unset or 0 there -> cpu_count
+        # workers = 0 defers to TUNNELTIME_WORKERS: unset there -> one
+        # process and no pool, 0 -> cpu_count
         sizes = []
 
         class SerialPool:
@@ -287,7 +289,27 @@ class TestSweeps:
         else:
             monkeypatch.setenv("TUNNELTIME_WORKERS", env)
         rows, _ = run_experiment(small_config("table1", **{"lambda": "30, 40, 50", "workers": "0"}))
-        assert sizes == [2] and [r.lam for r in rows] == [30.0, 40.0, 50.0]
+        assert sizes == ([] if env is None else [2]) and [r.lam for r in rows] == [30.0, 40.0, 50.0]
+
+    def test_default_run_imports_no_process_pool(self):
+        # a serial run leaves the pool module unloaded; the pool class still
+        # resolves on the module for callers that build a pool themselves
+        code = (
+            "import sys; from tunneltime import experiments; "
+            "experiments.run_experiment(experiments.build_config("
+            "'table1', {'lambda': '50, 100', 'coarse_points': '32'})); "
+            "print('concurrent.futures.process' in sys.modules); "
+            "print(experiments.ProcessPoolExecutor.__module__)"
+        )
+        env = {k: v for k, v in os.environ.items() if k != experiments.WORKERS_ENV}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split() == ["False", "concurrent.futures.process"]
 
     def test_run_experiment_dispatch(self):
         values = {"lambda": "30", "w_ratio": "1.0", "coarse_points": "32", "workers": "1"}

@@ -9,6 +9,7 @@ from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import (
     WaveSample,
     density_at_exit,
+    exit_amplitude,
     synthesize,
     transmitted_integral,
 )
@@ -94,3 +95,17 @@ def test_panel_count_grows_with_oscillation():
     assert panels[200.0] > panels[50.0]
     assert panels[800.0] > panels[200.0]
     assert panels[800.0] >= (800.0 / (2 * math.pi)) * 4  # at least the seed count
+
+
+@pytest.mark.parametrize(
+    "w,lam,cut",
+    [(1.0, 3000.0, True), (1.0, 500.0, True), (1.0, 50.0, False), (2.0, 100.0, False)],
+)
+def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
+    # at W = 1 the transmitted weight sits on a strip of width O(1/lam^2)
+    # below the cutoff; at W = 2 it is spread over [0, 1] and nothing is cut
+    params = DimensionlessParams(W=w, lam=lam)
+    phi = exit_amplitude(Spectrum(), params, 10.0)
+    assert (phi.kappa_cut > 0.0) == cut
+    if cut:  # at a = 0, 1 - kappa_c^2 = q_c^2 with lam q_c = 63 (500), 69 (3000)
+        assert 1.0 - phi.kappa_cut**2 < (80.0 / lam) ** 2
