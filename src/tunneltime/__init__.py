@@ -8,10 +8,12 @@ simulation with peak-arrival detection.
 import os
 import sys
 
-# The package makes no BLAS call, and the thread pool OpenBLAS starts when
-# numpy loads only spins.  Ask for a single-threaded OpenBLAS unless the user
-# chose a count, or numpy is already loaded and the setting could no longer
-# take effect (it would only leak into that program's subprocesses).
+# The package makes one BLAS call, the coarse scan's 16-row matrix-vector
+# product (zgemv), which needs no threads, and the thread pool OpenBLAS
+# starts when numpy loads only spins.  Ask for a single-threaded OpenBLAS
+# unless the user chose a count, or numpy is already loaded and the setting
+# could no longer take effect (it would only leak into that program's
+# subprocesses).
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -215,3 +216,31 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_run_loads_no_numpy_polynomial_and_stays_single_threaded(tmp_path):
+    # the quadrature rule comes from numpy.linalg, and the coarse scan's one
+    # BLAS call runs under the single-threaded OpenBLAS `import tunneltime` asks for
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "row.csv"
+    code = (
+        "import json, os, sys\n"
+        "from tunneltime.cli import main\n"
+        f"assert main(['single', '--lambda', '500', '--w-ratio', '1', '--trace', '--out', {str(out)!r}]) == 0\n"
+        "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('numpy.polynomial')),\n"
+        "                  None if tasks is None else len(tasks)]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**env, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    polynomial, threads = json.loads(done.stdout.splitlines()[-1])
+    assert polynomial == []
+    assert out.exists() and out.with_name("row_trace.csv").exists()
+    if threads is not None:
+        assert threads == 1

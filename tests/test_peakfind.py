@@ -162,12 +162,30 @@ def test_engine_density_matches_adaptive_quadrature(w, lam):
 
 
 def test_coarse_scan_recurrence_matches_direct_exponential():
-    # 255 phase-advance multiplies against one exponential at the last tau
-    params = DimensionlessParams(W=1.0, lam=500.0)
-    scan = coarse_scan(SPEC, params)
-    direct = abs(scan.amplitude(scan.taus[-1])) ** 2
-    assert scan.densities[-1] == pytest.approx(direct, rel=1e-12)
-    assert scan.amplitude.panels == peak_arrival(SPEC, params).panels_max
+    # every sample of the blocked phase recurrence against one exponential
+    # per node at its tau, for sample counts that fill the last block of
+    # peakfind._BLOCK and ones that do not (measured: at most 1.6e-15)
+    for w, lam in [(1.0, 100.0), (1.5, 100.0), (1.0, 500.0)]:
+        params = DimensionlessParams(W=w, lam=lam)
+        for points in (16, 100, 256):
+            config = PeakSearchConfig(coarse_points=points)
+            scan = coarse_scan(SPEC, params, config)
+            direct = np.array([abs(scan.amplitude(tau)) ** 2 for tau in scan.taus])
+            assert scan.densities.shape == (points,)
+            assert np.max(np.abs(scan.densities - direct)) <= 1e-12 * direct.max()
+            assert scan.amplitude.panels == peak_arrival(SPEC, params, config).panels_max
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-320])
+def test_vanishing_exit_density_fails_the_row(norm):
+    # a zero (or underflowing) density has no peak: an error naming the
+    # cause, not a row with the window's first tau as its peak time
+    params = DimensionlessParams(W=1.0, lam=100.0)
+    with pytest.raises(ValueError, match="exit density is 0 at every coarse sample"):
+        peak_arrival(Spectrum(norm=norm), params)
+    row = compute_row(params.lam, params.W, Spectrum(norm=norm), PeakSearchConfig(),
+                      QuadratureSettings())
+    assert row.note.startswith("failed: exit density is 0") and row.tau_num is None
 
 
 EPS = np.finfo(float).eps

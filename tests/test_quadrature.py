@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -7,6 +8,7 @@ from scipy.special import erf
 from tunneltime.quadrature import (
     QuadratureError,
     QuadratureSettings,
+    _gl_nodes,
     integrate_adaptive,
 )
 
@@ -20,6 +22,45 @@ def test_settings_validation():
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=math.inf)
+
+
+def _legendre_rule_mp(n, guesses):
+    """Roots of P_n on [-1, 1] by Newton from guesses, and their weights, in mpmath."""
+
+    def p_and_slope(x):
+        p0, p1 = mp.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    for guess in guesses:
+        x = mp.mpf(guess)
+        for _ in range(3):  # quadratic convergence from a double-precision root
+            p, slope = p_and_slope(x)
+            x -= p / slope
+        slope = p_and_slope(x)[1]
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes, weights
+
+
+# measured errors of the [0, 1] rule against mpmath: nodes <= 2.0e-16
+# absolute; weights 2.2e-15, 8.9e-15, 1.4e-13 and 5.4e-13 relative at
+# n = 8, 32, 64, 128 (numpy's leggauss: 1.3e-12 at 64, 1.4e-11 at 128);
+# weight sums within 1.1e-15 of 1.  The bounds leave about 5x on the nodes,
+# 10x on the weights and 4x on the sum.
+@pytest.mark.parametrize("n,weight_rel", [(8, 2e-14), (32, 1e-13), (64, 1.5e-12), (128, 5e-12)])
+def test_gauss_legendre_rule_against_mpmath(n, weight_rel):
+    x01, w01 = _gl_nodes(n)
+    with mp.workdps(30):
+        nodes, weights = _legendre_rule_mp(n, 2.0 * x01 - 1.0)
+        node_err = max(abs((x + 1) / 2 - mp.mpf(a)) for a, x in zip(x01, nodes))
+        weight_err = max(abs(mp.mpf(a) / (w / 2) - 1) for a, w in zip(w01, weights))
+    assert np.all(np.diff(x01) > 0.0) and 0.0 < x01[0] and x01[-1] < 1.0
+    assert node_err <= 1e-15
+    assert weight_err <= weight_rel
+    assert abs(w01.sum() - 1.0) <= 4e-15
 
 
 @pytest.mark.parametrize("n", [8, 32, 64, 128])
