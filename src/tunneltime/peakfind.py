@@ -5,7 +5,7 @@ a coarse scan over a bracketing window, then bisection of the bracket
 around the coarse argmax on the sign of d|Phi_T|^2/dtau (near the flat
 maximum density values differ by less than their rounding; the slope's
 sign does not).  Both evaluate one node set per configuration
-(`wavepacket.exit_amplitude`), built once for the whole window, so the
+(`wavepacket.transmitted_integral`), built once for the whole window, so the
 density is a smooth function of tau with no panel-set noise.  The coarse
 scan takes its samples in blocks of 16: one matrix-vector product of a
 table of each node's phase factors over 16 grid steps, then one multiply
@@ -101,11 +101,11 @@ class CoarseScan:
 
     taus: list[float]
     densities: np.ndarray
-    amplitude: wavepacket.ExitAmplitude
+    wave: wavepacket.TransmittedWave
 
     def trace(self) -> list[tuple[float, float]]:
         """(tau, |Phi_T(0, tau)|^2) on the coarse grid, rescaling undone."""
-        return list(zip(self.taus, self.amplitude.unscale(self.densities).tolist()))
+        return list(zip(self.taus, self.wave.unscale(self.densities).tolist()))
 
 
 def coarse_scan(
@@ -117,7 +117,9 @@ def coarse_scan(
     """|Phi_T(0, tau)|^2 e^{2 a lam} at config.coarse_points evenly spaced taus."""
     config = search_window(config or PeakSearchConfig(), params)
     tau_lo, tau_hi = config.tau_min, config.tau_max
-    phi = wavepacket.exit_amplitude(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
+    wave = wavepacket.transmitted_integral(
+        spec, params, 0.0, max(abs(tau_lo), abs(tau_hi)), settings
+    )
     n = config.coarse_points
     step = (tau_hi - tau_lo) / (n - 1)
     # powers[r, j] = e^{-i r step kappa_j^2}, r < _BLOCK, by repeated
@@ -126,20 +128,20 @@ def coarse_scan(
     # one matrix-vector product, and the block's start term jumps _BLOCK
     # steps by a direct exponential, so sample i carries about i / _BLOCK +
     # _BLOCK roundings of its phase factor instead of i
-    kappa2 = phi.kappa2
+    kappa2 = wave.kappa2
     powers = np.empty((_BLOCK, kappa2.size), dtype=complex)
     powers[0] = 1.0
     powers[1] = np.exp(-1j * step * kappa2)
     for r in range(2, _BLOCK):
         np.multiply(powers[r - 1], powers[1], out=powers[r])
     jump = np.exp(-1j * (_BLOCK * step) * kappa2)
-    term = phi.amp * np.exp(-1j * tau_lo * kappa2)
+    term = wave.amp * np.exp(-1j * tau_lo * kappa2)
     dens = np.empty(-(-n // _BLOCK) * _BLOCK)
     for start in range(0, n, _BLOCK):
         if start:
             term *= jump
         dens[start:start + _BLOCK] = np.abs(powers @ term) ** 2
-    return CoarseScan([tau_lo + i * step for i in range(n)], dens[:n], phi)
+    return CoarseScan([tau_lo + i * step for i in range(n)], dens[:n], wave)
 
 
 def peak_arrival(
@@ -153,7 +155,7 @@ def peak_arrival(
     window_hit is set (and refinement skipped) when the coarse argmax lies
     within one grid step of a window boundary; the caller must widen.
     Otherwise the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax
-    is bisected on the sign of `ExitAmplitude.slope` down to refine_tol,
+    is bisected on the sign of `TransmittedWave.slope` down to refine_tol,
     and its midpoint is within refine_tol / 2 of the density's stationary
     point.  refined is False when bisection did not run: on a window hit,
     or when the scan is not unimodal at its argmax or the slope does not
@@ -163,7 +165,7 @@ def peak_arrival(
     """
     config = config or PeakSearchConfig()
     scan = coarse_scan(spec, params, config, settings)
-    taus, dens, phi = scan.taus, scan.densities, scan.amplitude
+    taus, dens, wave = scan.taus, scan.densities, scan.wave
     if not dens.any():
         raise ValueError(f"exit density is 0 at every coarse sample in [{taus[0]:.6g}, "
                          f"{taus[-1]:.6g}]: the spectrum norm is 0 or the density underflows")
@@ -171,25 +173,25 @@ def peak_arrival(
     window_hit = i_best <= 1 or i_best >= len(taus) - 2
     # three-point unimodality and a + to - slope change before trusting the bracket
     refined = not window_hit and bool(dens[i_best - 1] < dens[i_best] > dens[i_best + 1])
-    refined = refined and phi.slope(taus[i_best - 1]) > 0.0 >= phi.slope(taus[i_best + 1])
+    refined = refined and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
     tau_peak, scaled_peak, iters = taus[i_best], float(dens[i_best]), 0
     if refined:
         lo, hi = taus[i_best - 1], taus[i_best + 1]
         while hi - lo > config.refine_tol:
             mid = 0.5 * (lo + hi)
-            if phi.slope(mid) > 0.0:
+            if wave.slope(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
             iters += 1
         tau_peak = 0.5 * (lo + hi)
-        scaled_peak = abs(phi(tau_peak)) ** 2
+        scaled_peak = abs(wave(0.0, tau_peak)) ** 2
     return PeakResult(
         tau_peak=tau_peak,
-        density_peak=phi.unscale(scaled_peak),
+        density_peak=wave.unscale(scaled_peak),
         window_hit=window_hit,
         refined=refined,
         refine_iters=iters,
-        panels_max=phi.panels,
+        panels_max=wave.panels,
         scan=scan,
     )

@@ -10,26 +10,24 @@ with xi = k_M (x - L) >= 0 and tau = E_M t / hbar.  The exact amplitude is
 used throughout; the opaque-limit approximation lives in `phasetime` so the
 numerical ground truth stays independent of the model being tested.
 
-Two routes evaluate it, on one amplitude factor g |T| e^{i phi}
-(`_amplitude`).  `transmitted_integral` integrates one (xi, tau) sample
-adaptively; its initial panel count grows linearly with |tau| to resolve
-the chirp e^{-i kappa^2 tau} before refinement takes over.
-`exit_amplitude` serves many times at the exit xi = 0: it refines the
-tau-independent factor (times e^{a lam}) once, on panels seeded for the
-chirp at the largest |tau| (and therefore at every smaller one).  Near
-E_M = V0 the barrier filters the packet onto a thin strip below the
-cutoff, so the refinement runs on the support [kappa_c, 1] only
-(`_support_cut`): kappa_c comes from bounds on |T| alone, before any node is
-evaluated, and the mass it drops is at most eps/2 * sum|amp| (eps the
-double-precision machine epsilon).  The refinement hands back the factor
-on its accepted nodes, so each node is evaluated once: amp_j is the node's
-weight times that value.  It keeps the nodes with
-|amp_j| > (eps/2) * sum|amp| / N (N the node count), and then
-Phi_T(0, tau) = sum_j amp_j e^{-i kappa_j^2 tau} costs one exponential per
-kept node and time.  The cut and the dropped terms together move Phi_T by
-at most eps * sum|amp| at any tau, and |Phi_T| ~ sum|amp| at the peak.
-At W = 1, lam = 500 the support is [0.992, 1]: 22 panels instead of 736
-on [0, 1], and 426 of its 704 nodes stay.
+One engine evaluates it (`transmitted_integral`).  It refines the
+factor g |T| e^{i phi} (times e^{a lam}) once, on panels seeded for the
+oscillation e^{i (kappa xi - kappa^2 tau)} at the largest xi and |tau|
+asked for, and therefore at every smaller one.  Near E_M = V0 the barrier
+filters the packet onto a thin strip below the cutoff, so the refinement
+runs on the support [kappa_c, 1] only (`_support_cut`): kappa_c comes from
+bounds on |T| alone, before any node is evaluated, and the mass it drops
+is at most eps/2 * sum|amp| (eps the double-precision machine epsilon).
+The refinement hands back the factor on its accepted nodes, so each node
+is evaluated once: amp_j is the node's weight times that value.  It keeps
+the nodes with |amp_j| > (eps/2) * sum|amp| / N (N the node count), and
+then Phi_T(xi, tau) = sum_j amp_j e^{i (kappa_j xi - kappa_j^2 tau)} costs
+one exponential per kept node and sample.  The cut and the dropped terms
+together move Phi_T by at most eps * sum|amp| at any (xi, tau), and
+|Phi_T| ~ sum|amp| at the peak.  At W = 1, lam = 500 the support is
+[0.992, 1]: 22 panels instead of 736 on [0, 1], and 426 of its 704 nodes
+stay.  The peak search (`peakfind`) builds the engine once for its whole
+window at the exit; `synthesize` builds it for one sample.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from . import spectrum as _spectrum
 from . import transmission
-from .quadrature import QuadratureResult, QuadratureSettings, integrate_adaptive
+from .quadrature import QuadratureSettings, integrate_adaptive
 from .spectrum import Spectrum
 from .units import DimensionlessParams
 
@@ -61,35 +59,6 @@ class WaveSample:
 
 def _initial_panels(position: float, time: float) -> int:
     return math.ceil(4.0 * (1.0 + (abs(time) + abs(position)) / (2.0 * math.pi)))
-
-
-def _amplitude(spec: Spectrum, params: DimensionlessParams, log_scale: float):
-    """kappa -> g(kappa) |T(kappa)| e^{i phi(kappa)} e^{log_scale}."""
-
-    def amplitude(kappa: np.ndarray) -> np.ndarray:
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
-        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
-
-    return amplitude
-
-
-def transmitted_integral(
-    spec: Spectrum,
-    params: DimensionlessParams,
-    position: float,
-    time: float,
-    settings: QuadratureSettings | None = None,
-) -> QuadratureResult:
-    """Adaptive spectral integral at one (xi, tau); `panels` is the effort."""
-    settings = settings or QuadratureSettings()
-    amplitude = _amplitude(spec, params, 0.0)
-
-    def integrand(kappa: np.ndarray) -> np.ndarray:
-        return amplitude(kappa) * np.exp(1j * (kappa * position - kappa * kappa * time))
-
-    return integrate_adaptive(
-        integrand, 0.0, 1.0, settings, initial_panels=_initial_panels(position, time)
-    )
 
 
 def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
@@ -129,8 +98,8 @@ def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
 
 
 @dataclass(frozen=True)
-class ExitAmplitude:
-    """Phi_T(0, tau) * e^{log_scale} on one composite Gauss-Legendre node set.
+class TransmittedWave:
+    """Phi_T(xi, tau) * e^{log_scale} on one composite Gauss-Legendre node set.
 
     amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}
     on the kept nodes of the composite rule on [kappa_cut, 1]
@@ -139,55 +108,67 @@ class ExitAmplitude:
     chose, before any node was dropped.
     """
 
+    kappa: np.ndarray
     kappa2: np.ndarray
     amp: np.ndarray
     panels: int
     log_scale: float
     kappa_cut: float
 
-    def __call__(self, time: float) -> complex:
-        return complex(np.sum(self.amp * np.exp(-1j * time * self.kappa2)))
+    def __call__(self, position: float, time: float) -> complex:
+        phase = self.kappa * position - self.kappa2 * time
+        return complex(np.sum(self.amp * np.exp(1j * phase)))
 
     def slope(self, time: float) -> float:
-        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau at time."""
+        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau at the exit and time."""
         terms = self.amp * np.exp(-1j * time * self.kappa2)
         return float((np.conj(terms.sum()) * np.sum(self.kappa2 * terms)).imag)
 
     def unscale(self, scaled_density):
-        """|Phi_T|^2 from a density |self(tau)|^2 (scalar or array)."""
+        """|Phi_T|^2 from a density |self(xi, tau)|^2 (scalar or array)."""
         return scaled_density * math.exp(-2.0 * self.log_scale)
 
 
-def exit_amplitude(
+def transmitted_integral(
     spec: Spectrum,
     params: DimensionlessParams,
-    time_bound: float,
+    position: float,
+    time: float,
     settings: QuadratureSettings | None = None,
-) -> ExitAmplitude:
-    """Exit amplitude for every |tau| <= time_bound from one refinement.
+) -> TransmittedWave:
+    """Transmitted wave for every 0 <= xi <= position and |tau| <= |time|.
 
     The amplitude factor is refined to settings.rel_tol on the support
     [kappa_c, 1] (`_support_cut`), from the uniform panels that resolve
-    e^{-i kappa^2 time_bound} there; QuadratureError is raised when that
-    needs more than settings.max_panels panels.  The opaque suppression is
-    factored out (log_scale = a * lam) so that the amplitude stays
-    representable; `ExitAmplitude.unscale` restores it.
+    e^{i (kappa position - kappa^2 time)} there; QuadratureError is raised
+    when that needs more than settings.max_panels panels.  The opaque
+    suppression is factored out (log_scale = a * lam) so that the amplitude
+    stays representable; `TransmittedWave.unscale` restores it.
     """
+    if not 0.0 <= position < math.inf:
+        raise ValueError("position is measured from the barrier exit and must be finite "
+                         f"and >= 0, got {position}")
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
     kappa_cut = _support_cut(spec, params)
-    rule = integrate_adaptive(
-        _amplitude(spec, params, log_scale), kappa_cut, 1.0, settings,
-        initial_panels=_initial_panels(0.0, time_bound * (1.0 - kappa_cut * kappa_cut)),
-    )
+
+    def amplitude(kappa: np.ndarray) -> np.ndarray:
+        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
+        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
+
+    seed = _initial_panels(position * (1.0 - kappa_cut), time * (1.0 - kappa_cut * kappa_cut))
+    rule = integrate_adaptive(amplitude, kappa_cut, 1.0, settings, initial_panels=seed)
     kappa, weights = rule.nodes()  # rule.samples: the amplitude on these nodes
     amp = weights * rule.samples
-    # with the cut's eps/2, the dropped terms change Phi at any tau by at
-    # most eps * sum|amp|
+    # with the cut's eps/2, the dropped terms change Phi at any (xi, tau) by
+    # at most eps * sum|amp|
     mag = np.abs(amp)
     keep = mag > 0.5 * np.finfo(float).eps * mag.sum() / mag.size
     kappa = kappa[keep]
-    return ExitAmplitude(
+    return TransmittedWave(
+        kappa=kappa,
         kappa2=kappa * kappa,
         amp=amp[keep],
         panels=rule.panels,
@@ -204,10 +185,9 @@ def synthesize(
     settings: QuadratureSettings | None = None,
 ) -> WaveSample:
     """Transmitted wave sample at dimensionless position >= 0 and time."""
-    if position < 0.0:
-        raise ValueError("position is measured from the barrier exit and must be >= 0")
-    result = transmitted_integral(spec, params, position, time, settings)
-    return WaveSample(position=position, time=time, amplitude=result.value)
+    wave = transmitted_integral(spec, params, position, time, settings)
+    amplitude = wave(position, time) * math.exp(-wave.log_scale)
+    return WaveSample(position=position, time=time, amplitude=amplitude)
 
 
 def density_at_exit(

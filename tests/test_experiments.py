@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -336,14 +337,14 @@ class TestSweeps:
 
     def test_single_trace_reuses_the_row_node_set(self, monkeypatch):
         # --trace adds no second node set: the trace is the row's own scan
-        real_amplitude = wavepacket.exit_amplitude
+        real_engine = wavepacket.transmitted_integral
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return real_amplitude(*args)
+            return real_engine(*args)
 
-        monkeypatch.setattr(wavepacket, "exit_amplitude", counted)
+        monkeypatch.setattr(wavepacket, "transmitted_integral", counted)
         config = small_config(**{"lambda": "60", "w_ratio": "1.2", "trace": "1"})
         (row,), trace = run_experiment(config)
         assert len(calls) == 1
@@ -390,11 +391,29 @@ def test_benchmark_tracer_sees_the_point_path(monkeypatch):
     while root.parent != -1:
         root = by_id[root.parent]
     assert root is row_span
-    # the engine's one refinement runs through the wrapped quadrature, and
-    # it hands back the amplitude on its nodes: no node is evaluated twice
+    # the peak search builds the engine once, through the wrapped name; its
+    # one refinement runs through the wrapped quadrature, and it hands back
+    # the amplitude on its nodes: no node is evaluated twice
     (peak,) = named(layers.PEAK_ARRIVAL)
+    (engine,) = named(layers.TRANSMITTED)
     (quad,) = named(layers.QUADRATURE)
-    assert quad.parent == peak.id
+    assert engine.parent == peak.id and quad.parent == engine.id
     evaluations, panels = quad.attr
     assert panels == row.panels_max
     assert sum(s.attr for s in named(layers.MODULUS_PHASE)) == evaluations > 0
+
+
+def test_per_layer_benchmark_mode_runs():
+    # `perfbench/run.py --trace 1` runs the point path in-process through
+    # the names it looks up (`workers`, `ProcessPoolExecutor`,
+    # `density_trace`, the wrapped engine); its scratch files go under the
+    # checkout's .perfbench/
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "single_trace", "--trace", "1",
+         "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["metrics"]["wavepacket.transmitted_integral.calls"]["value"] == 1

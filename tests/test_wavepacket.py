@@ -9,7 +9,6 @@ from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import (
     WaveSample,
     density_at_exit,
-    exit_amplitude,
     synthesize,
     transmitted_integral,
 )
@@ -52,7 +51,7 @@ def test_density_before_arrival_lower_than_peak():
 
 
 def test_density_long_after_passage_decays():
-    # tau = 1e6 needs ~6e5 seed panels to resolve the chirp
+    # tau = 1e6 needs ~2.2e5 seed panels to resolve the chirp on the support
     settings = QuadratureSettings(nodes_per_panel=16, max_panels=8_000_000, rel_tol=1e-5)
     d_late = density_at_exit(Spectrum(), REFERENCE, 1e6, settings)
     assert d_late < 1e-3 * DENSITY_AT_2141
@@ -68,6 +67,19 @@ def test_linearity_in_spectrum_scale():
 def test_rejects_position_inside_barrier():
     with pytest.raises(ValueError):
         synthesize(Spectrum(), REFERENCE, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("position,time,named", [
+    (0.0, math.inf, "time"), (0.0, -math.inf, "time"), (0.0, math.nan, "time"),
+    (math.inf, 1.0, "position"), (math.nan, 1.0, "position"),
+])
+def test_rejects_non_finite_position_or_time(position, time, named):
+    # a ValueError naming the argument, not an OverflowError from the seed
+    # panel count
+    with pytest.raises(ValueError, match=named):
+        synthesize(Spectrum(), REFERENCE, position, time)
+    with pytest.raises(ValueError, match=named):
+        transmitted_integral(Spectrum(), REFERENCE, position, time)
 
 
 def test_density_is_modulus_squared():
@@ -86,15 +98,17 @@ def test_node_doubling_stability_at_peak(lam):
 
 
 def test_panel_count_grows_with_oscillation():
-    # seeding is linear in |tau|: panels(tau) / tau approaches a constant
+    # seeding is linear in |tau| over the support [kappa_c, 1], where the
+    # chirp's phase spans tau (1 - kappa_c^2) (kappa_c = 0.811 at lam = 100)
     spec = Spectrum()
-    panels = {
-        tau: transmitted_integral(spec, REFERENCE, 0.0, tau).panels
-        for tau in (50.0, 200.0, 800.0)
-    }
+    waves = {tau: transmitted_integral(spec, REFERENCE, 0.0, tau) for tau in (50.0, 200.0, 800.0)}
+    panels = {tau: wave.panels for tau, wave in waves.items()}
+    cut = waves[800.0].kappa_cut
+    assert cut == pytest.approx(0.811, abs=1e-3)
     assert panels[200.0] > panels[50.0]
     assert panels[800.0] > panels[200.0]
-    assert panels[800.0] >= (800.0 / (2 * math.pi)) * 4  # at least the seed count
+    # at least the seed count
+    assert panels[800.0] >= (800.0 * (1.0 - cut * cut) / (2 * math.pi)) * 4
 
 
 @pytest.mark.parametrize(
@@ -105,7 +119,7 @@ def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
     # at W = 1 the transmitted weight sits on a strip of width O(1/lam^2)
     # below the cutoff; at W = 2 it is spread over [0, 1] and nothing is cut
     params = DimensionlessParams(W=w, lam=lam)
-    phi = exit_amplitude(Spectrum(), params, 10.0)
-    assert (phi.kappa_cut > 0.0) == cut
+    wave = transmitted_integral(Spectrum(), params, 0.0, 10.0)
+    assert (wave.kappa_cut > 0.0) == cut
     if cut:  # at a = 0, 1 - kappa_c^2 = q_c^2 with lam q_c = 63 (500), 69 (3000)
-        assert 1.0 - phi.kappa_cut**2 < (80.0 / lam) ** 2
+        assert 1.0 - wave.kappa_cut**2 < (80.0 / lam) ** 2
