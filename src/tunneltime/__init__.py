@@ -20,7 +20,6 @@ if "numpy" not in sys.modules:
 from .peakfind import PeakResult, PeakSearchConfig, peak_arrival
 from .phasetime import (
     MomentTable,
-    SCoefficients,
     expansion_coefficients,
     model_density,
     model_density_argmax,
@@ -49,7 +48,7 @@ from .units import (
     normalize,
     unit_scales,
 )
-from .wavepacket import WaveSample, density_at_exit, synthesize, transmitted_integral
+from .wavepacket import density_at_exit, synthesize, transmitted_integral
 
 __version__ = "0.1.0"
 
@@ -62,11 +61,9 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "QuadratureSettings",
-    "SCoefficients",
     "Spectrum",
     "TransmissionValue",
     "UnitScales",
-    "WaveSample",
     "amplitude",
     "amplitude_opaque",
     "denormalize",

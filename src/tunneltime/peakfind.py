@@ -4,15 +4,12 @@ The numerical phase time is the time at which |Phi_T(L, t)|^2 is maximal:
 a coarse scan over a bracketing window, then bisection of the bracket
 around the coarse argmax on the sign of d|Phi_T|^2/dtau (near the flat
 maximum density values differ by less than their rounding; the slope's
-sign does not).  Both evaluate one node set per configuration
-(`wavepacket.transmitted_integral`), built once for the whole window, so the
-density is a smooth function of tau with no panel-set noise.  The coarse
-scan takes its samples in blocks of 16: one matrix-vector product of a
-table of each node's phase factors over 16 grid steps, then one multiply
-per node to jump to the next block; bisection evaluates the sums
-directly.  The search runs on the exp-rescaled density (common factor
-e^{2 a lam} pulled out), which leaves the argmax untouched and keeps
-opaque configurations representable.
+sign does not).  Both run on one node set per configuration
+(`wavepacket.transmitted_integral`), built once for the whole window, so
+the density is a smooth function of tau with no panel-set noise; the
+engine's `densities` gives the coarse scan and its `slope` the sign.  Both
+leave out the common factor e^{-2 a lam}, which keeps the argmax and keeps
+opaque configurations representable; the peak density is |Phi_T|^2 itself.
 One rule (`search_window`) fills each unset window bound from
 `default_window(tau_new)`, tau_new being the moment phase time; a set bound
 that empties the window is an error naming tau_new.
@@ -29,10 +26,6 @@ from . import phasetime, wavepacket
 from .quadrature import QuadratureSettings
 from .spectrum import Spectrum
 from .units import DimensionlessParams
-
-# Coarse-scan samples per matrix-vector product (see `coarse_scan`).
-_BLOCK = 16
-
 
 @dataclass(frozen=True)
 class PeakSearchConfig:
@@ -122,26 +115,7 @@ def coarse_scan(
     )
     n = config.coarse_points
     step = (tau_hi - tau_lo) / (n - 1)
-    # powers[r, j] = e^{-i r step kappa_j^2}, r < _BLOCK, by repeated
-    # products of one exponential per node (row by row: np.cumprod down the
-    # columns takes 2 to 3 times as long); a block of _BLOCK samples is then
-    # one matrix-vector product, and the block's start term jumps _BLOCK
-    # steps by a direct exponential, so sample i carries about i / _BLOCK +
-    # _BLOCK roundings of its phase factor instead of i
-    kappa2 = wave.kappa2
-    powers = np.empty((_BLOCK, kappa2.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1] = np.exp(-1j * step * kappa2)
-    for r in range(2, _BLOCK):
-        np.multiply(powers[r - 1], powers[1], out=powers[r])
-    jump = np.exp(-1j * (_BLOCK * step) * kappa2)
-    term = wave.amp * np.exp(-1j * tau_lo * kappa2)
-    dens = np.empty(-(-n // _BLOCK) * _BLOCK)
-    for start in range(0, n, _BLOCK):
-        if start:
-            term *= jump
-        dens[start:start + _BLOCK] = np.abs(powers @ term) ** 2
-    return CoarseScan([tau_lo + i * step for i in range(n)], dens[:n], wave)
+    return CoarseScan([tau_lo + i * step for i in range(n)], wave.densities(tau_lo, step, n), wave)
 
 
 def peak_arrival(
@@ -174,7 +148,7 @@ def peak_arrival(
     # three-point unimodality and a + to - slope change before trusting the bracket
     refined = not window_hit and bool(dens[i_best - 1] < dens[i_best] > dens[i_best + 1])
     refined = refined and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
-    tau_peak, scaled_peak, iters = taus[i_best], float(dens[i_best]), 0
+    tau_peak, iters = taus[i_best], 0
     if refined:
         lo, hi = taus[i_best - 1], taus[i_best + 1]
         while hi - lo > config.refine_tol:
@@ -185,10 +159,9 @@ def peak_arrival(
                 hi = mid
             iters += 1
         tau_peak = 0.5 * (lo + hi)
-        scaled_peak = abs(wave(0.0, tau_peak)) ** 2
     return PeakResult(
         tau_peak=tau_peak,
-        density_peak=wave.unscale(scaled_peak),
+        density_peak=abs(wave(0.0, tau_peak)) ** 2,
         window_hit=window_hit,
         refined=refined,
         refine_iters=iters,

@@ -44,22 +44,14 @@ _FACT = [math.factorial(n + 2) for n in range(5)]
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments s(0)..s(4) of the edge integral, with their provenance.
-
-    mode is "closed-form" (infinite upper limit, exact antiderivatives) or
-    "quadrature" (finite upper limit rho_max = W - a, numeric).
-    """
+    """Moments s(0)..s(4) of the edge integral at the width lam."""
 
     s0: float
     s1: float
     s2: float
     s3: float
     s4: float
-    mode: str
-    a: float
     lam: float
-    W: float
-    rho_max: float
 
     def __post_init__(self) -> None:
         # `< inf` also rejects nan, which fails every comparison
@@ -83,18 +75,10 @@ class MomentTable:
         raise ValueError(f"moment combinations overflow the float range at lam = {self.lam:g}")
 
 
-@dataclass(frozen=True)
-class SCoefficients:
-    """Linear and quadratic phase coefficients of the edge integral at one tau."""
-
-    alpha: float
-    beta: float
-
-
-def s_coefficients(params: DimensionlessParams, tau: float) -> SCoefficients:
-    """alpha(tau) = 2 (a tau - 1), beta(tau) = tau - a."""
+def s_coefficients(params: DimensionlessParams, tau: float) -> tuple[float, float]:
+    """(alpha, beta) = (2 (a tau - 1), tau - a), the phase coefficients at tau."""
     a = params.a
-    return SCoefficients(alpha=2.0 * (a * tau - 1.0), beta=tau - a)
+    return 2.0 * (a * tau - 1.0), tau - a
 
 
 def moments_closed_form(params: DimensionlessParams) -> MomentTable:
@@ -114,7 +98,7 @@ def moments_closed_form(params: DimensionlessParams) -> MomentTable:
         ]
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"closed-form moments leave the float range at lam = {lam:g}") from None
-    return MomentTable(*s, mode="closed-form", a=a, lam=lam, W=params.W, rho_max=math.inf)
+    return MomentTable(*s, lam=lam)
 
 
 def moments_quadrature(
@@ -136,19 +120,14 @@ def moments_quadrature(
             settings,
         )
         s.append(res.value.real)
-    return MomentTable(*s, mode="quadrature", a=a, lam=lam, W=params.W, rho_max=rho_max)
+    return MomentTable(*s, lam=lam)
 
 
 def model_density(moments: MomentTable, params: DimensionlessParams, tau: float) -> float:
     """Quadratic model of the exit density, S(tau) up to a constant factor."""
     A, B, C = moments.combinations()
-    co = s_coefficients(params, tau)
-    density = (
-        moments.s0**2
-        + co.alpha**2 * A
-        + 2.0 * co.alpha * co.beta * B
-        + co.beta**2 * C
-    )
+    alpha, beta = s_coefficients(params, tau)
+    density = moments.s0**2 + alpha**2 * A + 2.0 * alpha * beta * B + beta**2 * C
     moments.check_finite(density)
     return density
 

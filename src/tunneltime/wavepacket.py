@@ -26,12 +26,27 @@ one exponential per kept node and sample.  The cut and the dropped terms
 together move Phi_T by at most eps * sum|amp| at any (xi, tau), and
 |Phi_T| ~ sum|amp| at the peak.  At W = 1, lam = 500 the support is
 [0.992, 1]: 22 panels instead of 736 on [0, 1], and 426 of its 704 nodes
-stay.  The peak search (`peakfind`) builds the engine once for its whole
-window at the exit; `synthesize` builds it for one sample.
+stay.
+
+The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1
+= (kappa_j - 1)(kappa_j + 1), so that
+
+    Phi_T(xi, tau) = e^{-i tau - a lam} sum_j amp_j e^{i (kappa_j xi - s_j tau)}
+
+with amp_j carrying e^{a lam}.  |Phi_T|^2 does not depend on the common
+phase e^{-i tau}; near E_M = V0 every kappa_j^2 is close to 1, and
+d|Phi_T|^2/dtau, a difference of two nearly equal sums over kappa_j^2,
+keeps its digits only when it is formed from the small s_j.  Calling the
+engine gives Phi_T itself; its peak-search methods (`densities`, `slope`)
+leave out the factor e^{-2 a lam}, which keeps opaque configurations
+representable and does not move the argmax.  The peak search (`peakfind`)
+builds the engine once for its whole window at the exit; `synthesize`
+builds it for one sample.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -44,17 +59,8 @@ from .spectrum import Spectrum
 from .units import DimensionlessParams
 
 
-@dataclass(frozen=True)
-class WaveSample:
-    """One space-time sample of the transmitted wave."""
-
-    position: float      # k_M (x - L), >= 0
-    time: float          # E_M t / hbar
-    amplitude: complex
-
-    @property
-    def density(self) -> float:
-        return abs(self.amplitude) ** 2
+# Coarse-scan samples per matrix-vector product (see `TransmittedWave.densities`).
+_BLOCK = 16
 
 
 def _initial_panels(position: float, time: float) -> int:
@@ -99,33 +105,58 @@ def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
 
 @dataclass(frozen=True)
 class TransmittedWave:
-    """Phi_T(xi, tau) * e^{log_scale} on one composite Gauss-Legendre node set.
+    """Phi_T(xi, tau) on one composite Gauss-Legendre node set.
 
     amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}
     on the kept nodes of the composite rule on [kappa_cut, 1]
     (|amp_j| > (eps/2) * sum|amp| / N; with the cut, Phi moves by at most
-    eps * sum|amp|); `panels` is the size of the node set the refinement
-    chose, before any node was dropped.
+    eps * sum|amp|), and s_j = (kappa_j - 1)(kappa_j + 1); `panels` is the
+    size of the node set the refinement chose, before any node was dropped.
     """
 
     kappa: np.ndarray
-    kappa2: np.ndarray
+    s: np.ndarray
     amp: np.ndarray
     panels: int
     log_scale: float
     kappa_cut: float
 
     def __call__(self, position: float, time: float) -> complex:
-        phase = self.kappa * position - self.kappa2 * time
-        return complex(np.sum(self.amp * np.exp(1j * phase)))
+        """Phi_T(position, time)."""
+        total = np.sum(self.amp * np.exp(1j * (self.kappa * position - self.s * time)))
+        return complex(total) * cmath.exp(complex(-self.log_scale, -time))
+
+    def densities(self, start: float, step: float, n: int) -> np.ndarray:
+        """|Phi_T(0, start + i step)|^2 e^{2 log_scale} for i = 0 .. n - 1.
+
+        powers[r, j] = e^{-i r step s_j}, r < _BLOCK, by repeated products
+        of one exponential per node (row by row: np.cumprod down the columns
+        takes 2 to 3 times as long); a block of _BLOCK samples is then one
+        matrix-vector product, and the block's start term jumps _BLOCK steps
+        by a direct exponential, so sample i carries about i / _BLOCK +
+        _BLOCK roundings of its phase factor instead of i.
+        """
+        powers = np.empty((_BLOCK, self.s.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = np.exp(-1j * step * self.s)
+        for r in range(2, _BLOCK):
+            np.multiply(powers[r - 1], powers[1], out=powers[r])
+        jump = np.exp(-1j * (_BLOCK * step) * self.s)
+        term = self.amp * np.exp(-1j * start * self.s)
+        dens = np.empty(-(-n // _BLOCK) * _BLOCK)
+        for i in range(0, n, _BLOCK):
+            if i:
+                term *= jump
+            dens[i:i + _BLOCK] = np.abs(powers @ term) ** 2
+        return dens[:n]
 
     def slope(self, time: float) -> float:
-        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau at the exit and time."""
-        terms = self.amp * np.exp(-1j * time * self.kappa2)
-        return float((np.conj(terms.sum()) * np.sum(self.kappa2 * terms)).imag)
+        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau at the exit, times e^{2 log_scale}."""
+        terms = self.amp * np.exp(-1j * time * self.s)
+        return float((np.conj(terms.sum()) * np.sum(self.s * terms)).imag)
 
     def unscale(self, scaled_density):
-        """|Phi_T|^2 from a density |self(xi, tau)|^2 (scalar or array)."""
+        """|Phi_T|^2 from a density of `densities` (scalar or array)."""
         return scaled_density * math.exp(-2.0 * self.log_scale)
 
 
@@ -142,8 +173,8 @@ def transmitted_integral(
     [kappa_c, 1] (`_support_cut`), from the uniform panels that resolve
     e^{i (kappa position - kappa^2 time)} there; QuadratureError is raised
     when that needs more than settings.max_panels panels.  The opaque
-    suppression is factored out (log_scale = a * lam) so that the amplitude
-    stays representable; `TransmittedWave.unscale` restores it.
+    suppression is factored out of the node amplitudes (log_scale = a * lam)
+    so that they stay representable; calling the wave restores it.
     """
     if not 0.0 <= position < math.inf:
         raise ValueError("position is measured from the barrier exit and must be finite "
@@ -169,7 +200,7 @@ def transmitted_integral(
     kappa = kappa[keep]
     return TransmittedWave(
         kappa=kappa,
-        kappa2=kappa * kappa,
+        s=(kappa - 1.0) * (kappa + 1.0),
         amp=amp[keep],
         panels=rule.panels,
         log_scale=log_scale,
@@ -183,11 +214,9 @@ def synthesize(
     position: float,
     time: float,
     settings: QuadratureSettings | None = None,
-) -> WaveSample:
-    """Transmitted wave sample at dimensionless position >= 0 and time."""
-    wave = transmitted_integral(spec, params, position, time, settings)
-    amplitude = wave(position, time) * math.exp(-wave.log_scale)
-    return WaveSample(position=position, time=time, amplitude=amplitude)
+) -> complex:
+    """Transmitted wave Phi_T at dimensionless position >= 0 and time."""
+    return transmitted_integral(spec, params, position, time, settings)(position, time)
 
 
 def density_at_exit(
@@ -197,4 +226,4 @@ def density_at_exit(
     settings: QuadratureSettings | None = None,
 ) -> float:
     """Electronic density |Phi_T|^2 at the barrier exit x = L."""
-    return synthesize(spec, params, 0.0, time, settings).density
+    return abs(synthesize(spec, params, 0.0, time, settings)) ** 2

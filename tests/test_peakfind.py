@@ -76,9 +76,11 @@ def test_peak_independent_of_the_node_set():
 
 @pytest.mark.parametrize("w,lam,tau", [(1.0, 100.0, 15.0), (1.0, 100.0, 30.0), (1.5, 100.0, 0.7)])
 def test_slope_is_half_the_density_derivative(w, lam, tau):
+    # both carry the same factor e^{2 a lam}
     wave = coarse_scan(SPEC, DimensionlessParams(W=w, lam=lam)).wave
     h = 1e-4 * tau
-    diff = (abs(wave(0.0, tau + h)) ** 2 - abs(wave(0.0, tau - h)) ** 2) / (2 * h)
+    below, _, above = wave.densities(tau - h, h, 3)
+    diff = (above - below) / (2 * h)
     assert 2.0 * wave.slope(tau) == pytest.approx(diff, rel=1e-7, abs=0.0)
 
 
@@ -150,17 +152,19 @@ def test_no_slope_sign_change_returned_unrefined(monkeypatch):
 
 
 def test_coarse_scan_recurrence_matches_direct_exponential():
-    # every sample of the blocked phase recurrence against one exponential
-    # per node at its tau, for sample counts that fill the last block of
-    # peakfind._BLOCK and ones that do not (measured: at most 1.6e-15)
+    # every sample of the blocked phase recurrence against the engine's call,
+    # one exponential per node at its tau, for sample counts that fill the
+    # last block of wavepacket._BLOCK and ones that do not (measured: at
+    # most 1.6e-15)
     for w, lam in [(1.0, 100.0), (1.5, 100.0), (1.0, 500.0)]:
         params = DimensionlessParams(W=w, lam=lam)
         for points in (16, 100, 256):
             config = PeakSearchConfig(coarse_points=points)
             scan = coarse_scan(SPEC, params, config)
             direct = np.array([abs(scan.wave(0.0, tau)) ** 2 for tau in scan.taus])
+            scanned = scan.wave.unscale(scan.densities)
             assert scan.densities.shape == (points,)
-            assert np.max(np.abs(scan.densities - direct)) <= 1e-12 * direct.max()
+            assert np.max(np.abs(scanned - direct)) <= 1e-12 * direct.max()
             assert scan.wave.panels == peak_arrival(SPEC, params, config).panels_max
 
 
@@ -186,7 +190,9 @@ def test_pruned_engine_within_eps_of_the_full_node_set(w, lam):
     # the engine integrates on the support [kappa_c, 1] only and drops the
     # nodes with |amp_j| <= (eps/2) * sum|amp| / N; against the composite
     # rule on every node the refinement chose there, the drop moves Phi by at
-    # most (eps/2) * sum|amp| at every tau, and the cut drops at most as much
+    # most (eps/2) * sum|amp| at every tau, and the cut drops at most as much.
+    # The sums are compared in the engine's frame: phase -s tau with
+    # s = kappa^2 - 1, and the factor e^{-i tau - a lam} left out
     params = DimensionlessParams(W=w, lam=lam)
     scan = coarse_scan(SPEC, params)
     wave = scan.wave
@@ -200,20 +206,24 @@ def test_pruned_engine_within_eps_of_the_full_node_set(w, lam):
         seed = wavepacket._initial_panels(0.0, time_bound)
         panels = integrate_adaptive(amplitude, lo, 1.0, initial_panels=seed)
         kappa, weights = panels.nodes()
-        return panels, kappa * kappa, weights * amplitude(kappa)
+        return panels, (kappa - 1.0) * (kappa + 1.0), weights * amplitude(kappa)
 
-    panels, kappa2, amp = rule(cut, scan.taus[-1] * (1.0 - cut * cut))
+    def node_sum(amp, s, tau):
+        return np.sum(amp * np.exp(-1j * tau * s))
+
+    panels, s, amp = rule(cut, scan.taus[-1] * (1.0 - cut * cut))
     total = np.abs(amp).sum()
     assert wave.panels == panels.lo.size
-    kept = np.isin(kappa2, wave.kappa2)
-    np.testing.assert_array_equal(amp[kept], wave.amp)  # a subset, bit for bit
+    kept = np.isin(s, wave.s)
+    np.testing.assert_array_equal(s[kept], wave.s)  # a subset, bit for bit
+    np.testing.assert_array_equal(amp[kept], wave.amp)
     assert np.abs(amp[~kept]).sum() <= EPS / 2 * total
     # beyond the eps bound, the two sums (pairwise) round differently, by at
     # most log2(N) eps * sum|amp| each
     rounding = 2.0 * math.log2(amp.size) * EPS * total
     for tau in scan.taus:
-        full = np.sum(amp * np.exp(-1j * tau * kappa2))
-        assert abs(wave(0.0, tau) - full) <= EPS * total + rounding
+        engine = node_sum(wave.amp, wave.s, tau)
+        assert abs(engine - node_sum(amp, s, tau)) <= EPS * total + rounding
     # the mass the cut drops, by an independent adaptive integral of |f|
     if cut > 0.0:
         fine = QuadratureSettings(rel_tol=1e-12)
@@ -222,10 +232,10 @@ def test_pruned_engine_within_eps_of_the_full_node_set(w, lam):
     # the rule on all of [0, 1], the engine's node set before the cut: the
     # two rules differ by their quadrature error only (9.1e-15 at lam = 100,
     # 8.7e-13 at lam = 500, relative to sum|amp|)
-    _, kappa2_01, amp_01 = rule(0.0, scan.taus[-1])
+    _, s_01, amp_01 = rule(0.0, scan.taus[-1])
     for tau in scan.taus:
-        full = np.sum(amp_01 * np.exp(-1j * tau * kappa2_01))
-        assert abs(wave(0.0, tau) - full) <= 1e-12 * total
+        engine = node_sum(wave.amp, wave.s, tau)
+        assert abs(engine - node_sum(amp_01, s_01, tau)) <= 1e-12 * total
     if w > 1.0:
         assert cut == 0.0  # the amplitude is spread over all of [0, 1]
     if w == 2.0:
@@ -264,7 +274,7 @@ def test_engine_density_matches_adaptive_quadrature(w, lam):
     wave, taus = scan.wave, scan.taus
     peak = wave.unscale(scan.densities.max())
     for tau in (taus[0], taus[len(taus) // 2], taus[-1]):
-        engine = wave.unscale(abs(wave(0.0, tau)) ** 2)
+        engine = abs(wave(0.0, tau)) ** 2
         assert abs(engine - abs(_exit_amplitude_mp(params, 0.0, tau)) ** 2) <= 1e-9 * peak
 
 
@@ -272,21 +282,21 @@ def test_engine_density_matches_adaptive_quadrature(w, lam):
 def test_engine_against_mpmath_reference(w, lam):
     # the peak search's node set at the peak and the far window end, and
     # `synthesize`'s own node set at the peak, at the exit and at xi = 3
-    # (measured: at most 1.5e-12 relative, at lam = 500)
+    # (measured: at most 1.5e-12 relative, at lam = 500).  The call is
+    # Phi_T itself: at W = 1.5 |Phi_T| ~ 1.7e-53 at the peak, e^{a lam} =
+    # e^{111.8} below the engine's node sum
     params = DimensionlessParams(W=w, lam=lam)
     peak = peak_arrival(SPEC, params)
     wave = peak.scan.wave
-    unscale = math.exp(-wave.log_scale)
     at_peak = _exit_amplitude_mp(params, 0.0, peak.tau_peak)
     far_end = peak.scan.taus[-1]
     at_far_end = _exit_amplitude_mp(params, 0.0, far_end)
-    assert abs(wave(0.0, peak.tau_peak) * unscale - at_peak) <= 1e-9 * abs(at_peak)
-    assert abs(wave(0.0, far_end) * unscale - at_far_end) <= 1e-9 * abs(at_peak)
-    sample = synthesize(SPEC, params, 0.0, peak.tau_peak)
-    assert abs(sample.amplitude - at_peak) <= 1e-9 * abs(at_peak)
+    assert abs(wave(0.0, peak.tau_peak) - at_peak) <= 1e-9 * abs(at_peak)
+    assert abs(wave(0.0, far_end) - at_far_end) <= 1e-9 * abs(at_peak)
+    assert peak.density_peak == pytest.approx(abs(at_peak) ** 2, rel=2e-9)
+    assert abs(synthesize(SPEC, params, 0.0, peak.tau_peak) - at_peak) <= 1e-9 * abs(at_peak)
     off_exit = _exit_amplitude_mp(params, 3.0, peak.tau_peak)
-    sample = synthesize(SPEC, params, 3.0, peak.tau_peak)
-    assert abs(sample.amplitude - off_exit) <= 1e-9 * abs(off_exit)
+    assert abs(synthesize(SPEC, params, 3.0, peak.tau_peak) - off_exit) <= 1e-9 * abs(off_exit)
 
 
 def test_monotone_peak_growth_and_velocity_trend():
@@ -343,6 +353,27 @@ def test_transit_time_slope_at_matched_energies():
     assert max(offsets) - min(offsets) <= 0.05
     assert -31.0 < min(offsets) and max(offsets) < -30.0
     assert max(opaque) - min(opaque) > 1000.0
+
+
+def test_transit_time_offset_holds_at_large_lam():
+    # past lam = 4000 every kappa_j^2 on the support is close to 1; the slope
+    # keeps its digits because the engine stores s_j = kappa_j^2 - 1.  Two
+    # node sets, rel_tol 1e-8 with 32 nodes and rel_tol 1e-11 with 64, give
+    # lam (tau_num - c* lam) = -30.5414 / -30.5423 at lam = 8000, -30.5295 /
+    # -30.5422 at 16000 and -30.4666 / -30.5423 at 32000, against -32.75 /
+    # -33.56, +124.4 / -104.1 and -1350 / -5090 with kappa_j^2 in the phase.
+    # Bounds: the two sets within 0.15 of each other (measured 0.076, 2x
+    # margin), and the finer one within 0.005 of d = -30.5423 (measured 1e-4)
+    c_star = 0.21717467305957345386  # `_transit_slope_mp()`, checked above
+    config = PeakSearchConfig(refine_tol=1e-9)
+    node_sets = (QuadratureSettings(rel_tol=1e-8),
+                 QuadratureSettings(rel_tol=1e-11, nodes_per_panel=64))
+    for lam in (8000.0, 16000.0, 32000.0):
+        params = DimensionlessParams(W=1.0, lam=lam)
+        coarse, fine = (lam * (peak_arrival(SPEC, params, config, s).tau_peak - c_star * lam)
+                        for s in node_sets)
+        assert abs(coarse - fine) <= 0.15
+        assert fine == pytest.approx(-30.5423, abs=0.005)
 
 
 class TestFullReport:

@@ -122,10 +122,10 @@ class TestMoments:
 
     def test_all_moments_positive_enforced(self):
         with pytest.raises(ValueError):
-            MomentTable(1.0, 1.0, 0.0, 1.0, 1.0, mode="closed-form", a=0.0, lam=1.0, W=1.0, rho_max=math.inf)
+            MomentTable(1.0, 1.0, 0.0, 1.0, 1.0, lam=1.0)
         for bad in (math.inf, math.nan):  # `s > 0` alone lets inf through
             with pytest.raises(ValueError, match="finite"):
-                MomentTable(1.0, 1.0, 1.0, 1.0, bad, mode="closed-form", a=0.0, lam=1.0, W=1.0, rho_max=math.inf)
+                MomentTable(1.0, 1.0, 1.0, 1.0, bad, lam=1.0)
 
     @pytest.mark.parametrize("lam", [1e50, 1e-50, 1e-44])
     @pytest.mark.parametrize("w", [1.0, 2.0])
@@ -167,13 +167,13 @@ class TestSCoefficients:
     def test_alpha_beta_zeros(self):
         params = params_from_a(0.8, 30.0)
         a = params.a
-        assert s_coefficients(params, 1.0 / a).alpha == pytest.approx(0.0, abs=1e-15)
-        assert s_coefficients(params, a).beta == pytest.approx(0.0, abs=1e-15)
+        assert s_coefficients(params, 1.0 / a)[0] == pytest.approx(0.0, abs=1e-15)
+        assert s_coefficients(params, a)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_constant_at_a_zero(self):
         params = DimensionlessParams(W=1.0, lam=30.0)
-        assert s_coefficients(params, 0.0).alpha == -2.0
-        assert s_coefficients(params, 123.0).alpha == -2.0
+        assert s_coefficients(params, 0.0)[0] == -2.0
+        assert s_coefficients(params, 123.0)[0] == -2.0
 
 
 class TestModelDensity:
