@@ -48,7 +48,7 @@ from .units import (
     normalize,
     unit_scales,
 )
-from .wavepacket import density_at_exit, synthesize, transmitted_integral
+from .wavepacket import transmitted_integral
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "amplitude",
     "amplitude_opaque",
     "denormalize",
-    "density_at_exit",
     "electron_barrier",
     "evaluate",
     "expansion_coefficients",
@@ -84,7 +83,6 @@ __all__ = [
     "phase_time_spm",
     "s_coefficients",
     "stationary_time_full",
-    "synthesize",
     "transit_velocity",
     "transmitted_integral",
     "transmitted_mean_k",

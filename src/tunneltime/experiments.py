@@ -30,7 +30,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import peakfind, phasetime
-from .peakfind import PeakSearchConfig, coarse_scan
+from .peakfind import PeakSearchConfig
 from .quadrature import QuadratureError, QuadratureSettings
 from .spectrum import Spectrum
 from .units import DimensionlessParams
@@ -289,17 +289,20 @@ def compute_row(
         tau_num=peak.tau_peak,
         v_transit=v_transit,
         ratio_ana_num=ratio_ana_num,
-        panels_max=peak.panels_max,
+        panels_max=peak.wave.panels,
         refine_iters=peak.refine_iters,
         note="; ".join(notes),
-        trace=peak.scan.trace() if trace else None,
+        trace=peak.trace() if trace else None,
     )
 
 
 def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[float, float]]:
-    """Exit density sampled on the coarse search grid (monotone in tau)."""
+    """The row's exit-density trace: its peak search's coarse scan, in tau order.
+
+    Raises ValueError where the peak search does (a density 0 everywhere).
+    """
     params = DimensionlessParams(W=w, lam=lam)
-    return coarse_scan(config.spectrum, params, config.peak, config.quadrature).trace()
+    return peakfind.peak_arrival(config.spectrum, params, config.peak, config.quadrature).trace()
 
 
 def _cell(value: float | int | str | None) -> str:

@@ -10,6 +10,8 @@ the density is a smooth function of tau with no panel-set noise; the
 engine's `densities` gives the coarse scan and its `slope` the sign.  Both
 leave out the common factor e^{-2 a lam}, which keeps the argmax and keeps
 opaque configurations representable; the peak density is |Phi_T|^2 itself.
+`peak_arrival` is the whole search, and its result carries the scan and
+the engine it ran on.
 One rule (`search_window`) fills each unset window bound from
 `default_window(tau_new)`, tau_new being the moment phase time; a set bound
 that empties the window is an error naming tau_new.
@@ -51,15 +53,23 @@ class PeakSearchConfig:
 
 @dataclass(frozen=True)
 class PeakResult:
-    """Peak time and density, with the coarse scan the search ran on."""
+    """Peak time and density, with the coarse scan and the engine behind it.
+
+    densities holds |Phi_T(0, tau)|^2 e^{2 a lam} at taus (see `trace`).
+    """
 
     tau_peak: float
     density_peak: float
     window_hit: bool
     refined: bool
     refine_iters: int
-    panels_max: int
-    scan: CoarseScan = field(repr=False, compare=False)
+    taus: list[float] = field(repr=False, compare=False)
+    densities: np.ndarray = field(repr=False, compare=False)
+    wave: wavepacket.TransmittedWave = field(repr=False, compare=False)
+
+    def trace(self) -> list[tuple[float, float]]:
+        """(tau, |Phi_T(0, tau)|^2) on the coarse grid, rescaling undone."""
+        return list(zip(self.taus, self.wave.unscale(self.densities).tolist()))
 
 
 def default_window(tau_reference: float) -> tuple[float, float]:
@@ -88,36 +98,6 @@ def search_window(
     return replace(config, tau_min=tau_min, tau_max=tau_max)
 
 
-@dataclass(frozen=True)
-class CoarseScan:
-    """Exp-rescaled exit density on the coarse grid, and the engine behind it."""
-
-    taus: list[float]
-    densities: np.ndarray
-    wave: wavepacket.TransmittedWave
-
-    def trace(self) -> list[tuple[float, float]]:
-        """(tau, |Phi_T(0, tau)|^2) on the coarse grid, rescaling undone."""
-        return list(zip(self.taus, self.wave.unscale(self.densities).tolist()))
-
-
-def coarse_scan(
-    spec: Spectrum,
-    params: DimensionlessParams,
-    config: PeakSearchConfig | None = None,
-    settings: QuadratureSettings | None = None,
-) -> CoarseScan:
-    """|Phi_T(0, tau)|^2 e^{2 a lam} at config.coarse_points evenly spaced taus."""
-    config = search_window(config or PeakSearchConfig(), params)
-    tau_lo, tau_hi = config.tau_min, config.tau_max
-    wave = wavepacket.transmitted_integral(
-        spec, params, 0.0, max(abs(tau_lo), abs(tau_hi)), settings
-    )
-    n = config.coarse_points
-    step = (tau_hi - tau_lo) / (n - 1)
-    return CoarseScan([tau_lo + i * step for i in range(n)], wave.densities(tau_lo, step, n), wave)
-
-
 def peak_arrival(
     spec: Spectrum,
     params: DimensionlessParams,
@@ -126,33 +106,40 @@ def peak_arrival(
 ) -> PeakResult:
     """Locate the exit-density maximum inside the search window.
 
-    window_hit is set (and refinement skipped) when the coarse argmax lies
-    within one grid step of a window boundary; the caller must widen.
-    Otherwise the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax
-    is bisected on the sign of `TransmittedWave.slope` down to refine_tol,
-    and its midpoint is within refine_tol / 2 of the density's stationary
+    The window (`search_window`) is scanned at config.coarse_points evenly
+    spaced taus.  window_hit is set (and refinement skipped) when the
+    coarse argmax lies within one grid step of a window boundary; the
+    caller must widen.  Otherwise the bracket [tau_{i-1}, tau_{i+1}] around
+    the coarse argmax is bisected on the sign of `TransmittedWave.slope`
+    down to refine_tol, or to two adjacent doubles, and its midpoint is
+    within max(refine_tol / 2, their gap) of the density's stationary
     point.  refined is False when bisection did not run: on a window hit,
     or when the scan is not unimodal at its argmax or the slope does not
     fall from + to - across the bracket (the grid argmax is returned).
     Raises ValueError when the density is 0 at every coarse sample, which
     has no peak (a zero spectrum norm, or a density that underflows).
     """
-    config = config or PeakSearchConfig()
-    scan = coarse_scan(spec, params, config, settings)
-    taus, dens, wave = scan.taus, scan.densities, scan.wave
+    config = search_window(config or PeakSearchConfig(), params)
+    tau_lo, tau_hi, n = config.tau_min, config.tau_max, config.coarse_points
+    wave = wavepacket.transmitted_integral(
+        spec, params, 0.0, max(abs(tau_lo), abs(tau_hi)), settings
+    )
+    step = (tau_hi - tau_lo) / (n - 1)
+    taus = [tau_lo + i * step for i in range(n)]
+    dens = wave.densities(tau_lo, step, n)
     if not dens.any():
-        raise ValueError(f"exit density is 0 at every coarse sample in [{taus[0]:.6g}, "
-                         f"{taus[-1]:.6g}]: the spectrum norm is 0 or the density underflows")
+        raise ValueError(f"exit density is 0 at every coarse sample in [{tau_lo:.6g}, "
+                         f"{tau_hi:.6g}]: the spectrum norm is 0 or the density underflows")
     i_best = int(np.argmax(dens))
-    window_hit = i_best <= 1 or i_best >= len(taus) - 2
+    window_hit = i_best <= 1 or i_best >= n - 2
     # three-point unimodality and a + to - slope change before trusting the bracket
     refined = not window_hit and bool(dens[i_best - 1] < dens[i_best] > dens[i_best + 1])
     refined = refined and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
     tau_peak, iters = taus[i_best], 0
     if refined:
         lo, hi = taus[i_best - 1], taus[i_best + 1]
-        while hi - lo > config.refine_tol:
-            mid = 0.5 * (lo + hi)
+        # a bracket one double wide has no midpoint strictly inside it
+        while hi - lo > config.refine_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
             if wave.slope(mid) > 0.0:
                 lo = mid
             else:
@@ -165,6 +152,7 @@ def peak_arrival(
         window_hit=window_hit,
         refined=refined,
         refine_iters=iters,
-        panels_max=wave.panels,
-        scan=scan,
+        taus=taus,
+        densities=dens,
+        wave=wave,
     )

@@ -40,8 +40,8 @@ keeps its digits only when it is formed from the small s_j.  Calling the
 engine gives Phi_T itself; its peak-search methods (`densities`, `slope`)
 leave out the factor e^{-2 a lam}, which keeps opaque configurations
 representable and does not move the argmax.  The peak search (`peakfind`)
-builds the engine once for its whole window at the exit; `synthesize`
-builds it for one sample.
+builds the engine once for its whole window at the exit; a single sample
+is `transmitted_integral(spec, params, xi, tau)(xi, tau)`.
 """
 
 from __future__ import annotations
@@ -206,24 +206,3 @@ def transmitted_integral(
         log_scale=log_scale,
         kappa_cut=kappa_cut,
     )
-
-
-def synthesize(
-    spec: Spectrum,
-    params: DimensionlessParams,
-    position: float,
-    time: float,
-    settings: QuadratureSettings | None = None,
-) -> complex:
-    """Transmitted wave Phi_T at dimensionless position >= 0 and time."""
-    return transmitted_integral(spec, params, position, time, settings)(position, time)
-
-
-def density_at_exit(
-    spec: Spectrum,
-    params: DimensionlessParams,
-    time: float,
-    settings: QuadratureSettings | None = None,
-) -> float:
-    """Electronic density |Phi_T|^2 at the barrier exit x = L."""
-    return abs(synthesize(spec, params, 0.0, time, settings)) ** 2

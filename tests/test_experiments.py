@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tunneltime import experiments, peakfind, wavepacket
+from tunneltime import experiments, wavepacket
 from tunneltime.experiments import (
     _KEYS,
     CSV_HEADER,
@@ -147,16 +147,15 @@ class TestRows:
         assert row.note.endswith("; tau_spm diverges (E_M = V0)")  # both notes kept
 
     def test_unrefined_peak_noted(self, monkeypatch):
-        real_scan = peakfind.coarse_scan
+        real_densities = wavepacket.TransmittedWave.densities
 
-        def flat_top(*args):
-            scan = real_scan(*args)
-            dens = scan.densities.copy()
+        def flat_top(self, *args):
+            dens = real_densities(self, *args)
             i = int(dens.argmax())
             dens[i + 1] = dens[i]
-            return dataclasses.replace(scan, densities=dens)
+            return dens
 
-        monkeypatch.setattr(peakfind, "coarse_scan", flat_top)
+        monkeypatch.setattr(wavepacket.TransmittedWave, "densities", flat_top)
         cfg = PeakSearchConfig(coarse_points=32)
         row = compute_row(100.0, 1.5, Spectrum(), cfg, QuadratureSettings())
         assert row.note == "unrefined: coarse scan not unimodal at the argmax"
@@ -248,6 +247,22 @@ def test_committed_results_match_a_fresh_run(tmp_path, experiment):
     assert out.read_bytes() == (RESULTS / f"{experiment}.csv").read_bytes()
 
 
+def test_reproduce_script_regenerates_the_committed_files(tmp_path):
+    # the regeneration step itself, from an uninstalled checkout: fig2's
+    # script writes results/ under its working directory
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_fig2.py")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("fig2.csv", "fig2.csv.gnuplot"):
+        assert (tmp_path / "results" / name).read_bytes() == (RESULTS / name).read_bytes()
+
+
 class TestSweeps:
     def test_table1_subgrid(self):
         values = {"lambda": "50, 100", "workers": "1", "coarse_points": "64"}
@@ -334,6 +349,12 @@ class TestSweeps:
         (row,), _ = run_experiment(config)
         tau_argmax = max(trace, key=lambda s: s[1])[0]
         assert abs(tau_argmax - row.tau_num) <= step
+
+    def test_density_trace_of_a_zero_density_raises(self):
+        # the trace is the peak search's scan, and a density 0 everywhere has no peak
+        config = dataclasses.replace(small_config(), spectrum=Spectrum(norm=0.0))
+        with pytest.raises(ValueError, match="exit density is 0 at every coarse sample"):
+            density_trace(config, 30.0, 1.0)
 
     def test_single_trace_reuses_the_row_node_set(self, monkeypatch):
         # --trace adds no second node set: the trace is the row's own scan

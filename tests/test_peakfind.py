@@ -1,24 +1,19 @@
-import dataclasses
 import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy
 
-from tunneltime import peakfind, phasetime, transmission, wavepacket
+from tunneltime import phasetime, transmission, wavepacket
 from tunneltime import spectrum as spectrum_mod
 from tunneltime.experiments import compute_row
-from tunneltime.peakfind import (
-    PeakSearchConfig,
-    coarse_scan,
-    default_window,
-    peak_arrival,
-)
+from tunneltime.peakfind import PeakSearchConfig, default_window, peak_arrival
 from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
 from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
-from tunneltime.wavepacket import synthesize
+from tunneltime.wavepacket import transmitted_integral
 
 # peak times of the exit density on a 2e6-node trapezoid rule (kappa0 = 0.5,
 # delta = 10); each lies within 2e-6 of the root of that density's slope
@@ -77,7 +72,7 @@ def test_peak_independent_of_the_node_set():
 @pytest.mark.parametrize("w,lam,tau", [(1.0, 100.0, 15.0), (1.0, 100.0, 30.0), (1.5, 100.0, 0.7)])
 def test_slope_is_half_the_density_derivative(w, lam, tau):
     # both carry the same factor e^{2 a lam}
-    wave = coarse_scan(SPEC, DimensionlessParams(W=w, lam=lam)).wave
+    wave = peak_arrival(SPEC, DimensionlessParams(W=w, lam=lam)).wave
     h = 1e-4 * tau
     below, _, above = wave.densities(tau - h, h, 3)
     diff = (above - below) / (2 * h)
@@ -91,7 +86,7 @@ def test_peak_scaling_invariance():
     assert scaled.tau_peak == base.tau_peak  # argmax untouched by positive scaling
     assert scaled.density_peak == pytest.approx(9.0 * base.density_peak, rel=1e-9, abs=0.0)
     # the support cut is computed at norm = 1, so the node set is the same
-    assert scaled.scan.wave.kappa_cut == base.scan.wave.kappa_cut > 0.0
+    assert scaled.wave.kappa_cut == base.wave.kappa_cut > 0.0
 
 
 def test_refinement_convergence_under_tolerance_halving():
@@ -119,23 +114,23 @@ def test_window_hit_flagged_not_raised():
 def test_non_unimodal_scan_returned_unrefined(monkeypatch):
     # a flat top (tie at the argmax) is not a bracket: no refinement, and
     # the result says so instead of passing as a refined peak
-    real_scan = peakfind.coarse_scan
+    real_densities = wavepacket.TransmittedWave.densities
 
-    def flat_top(*args):
-        scan = real_scan(*args)
-        dens = scan.densities.copy()
+    def flat_top(self, *args):
+        dens = real_densities(self, *args)
         i = int(np.argmax(dens))
         dens[i + 1] = dens[i]
-        return dataclasses.replace(scan, densities=dens)
+        return dens
 
-    monkeypatch.setattr(peakfind, "coarse_scan", flat_top)
+    monkeypatch.setattr(wavepacket.TransmittedWave, "densities", flat_top)
     params = DimensionlessParams(W=1.0, lam=100.0)
     cfg = PeakSearchConfig(coarse_points=64)
     result = peak_arrival(SPEC, params, cfg)
-    scan = real_scan(SPEC, params, cfg, None)
+    i = int(np.argmax(result.densities))
+    assert result.densities[i + 1] == result.densities[i]
     assert not result.window_hit and not result.refined
     assert result.refine_iters == 0
-    assert result.tau_peak == scan.taus[int(np.argmax(scan.densities))]
+    assert result.tau_peak == result.taus[i]
 
 
 def test_no_slope_sign_change_returned_unrefined(monkeypatch):
@@ -151,7 +146,7 @@ def test_no_slope_sign_change_returned_unrefined(monkeypatch):
     assert row.note.startswith("unrefined:") and row.tau_num == result.tau_peak
 
 
-def test_coarse_scan_recurrence_matches_direct_exponential():
+def test_blocked_scan_recurrence_matches_direct_exponential():
     # every sample of the blocked phase recurrence against the engine's call,
     # one exponential per node at its tau, for sample counts that fill the
     # last block of wavepacket._BLOCK and ones that do not (measured: at
@@ -160,12 +155,12 @@ def test_coarse_scan_recurrence_matches_direct_exponential():
         params = DimensionlessParams(W=w, lam=lam)
         for points in (16, 100, 256):
             config = PeakSearchConfig(coarse_points=points)
-            scan = coarse_scan(SPEC, params, config)
+            scan = peak_arrival(SPEC, params, config)
             direct = np.array([abs(scan.wave(0.0, tau)) ** 2 for tau in scan.taus])
             scanned = scan.wave.unscale(scan.densities)
             assert scan.densities.shape == (points,)
             assert np.max(np.abs(scanned - direct)) <= 1e-12 * direct.max()
-            assert scan.wave.panels == peak_arrival(SPEC, params, config).panels_max
+            assert [d for _, d in scan.trace()] == scanned.tolist()
 
 
 @pytest.mark.parametrize("norm", [0.0, 1e-320])
@@ -194,7 +189,7 @@ def test_pruned_engine_within_eps_of_the_full_node_set(w, lam):
     # The sums are compared in the engine's frame: phase -s tau with
     # s = kappa^2 - 1, and the factor e^{-i tau - a lam} left out
     params = DimensionlessParams(W=w, lam=lam)
-    scan = coarse_scan(SPEC, params)
+    scan = peak_arrival(SPEC, params)
     wave = scan.wave
     cut = wave.kappa_cut
 
@@ -270,7 +265,7 @@ def test_engine_density_matches_adaptive_quadrature(w, lam):
     # one node set for the whole window against mpmath's adaptive
     # Gauss-Legendre integral per tau, at both window ends and the middle
     params = DimensionlessParams(W=w, lam=lam)
-    scan = coarse_scan(SPEC, params)
+    scan = peak_arrival(SPEC, params)
     wave, taus = scan.wave, scan.taus
     peak = wave.unscale(scan.densities.max())
     for tau in (taus[0], taus[len(taus) // 2], taus[-1]):
@@ -281,22 +276,24 @@ def test_engine_density_matches_adaptive_quadrature(w, lam):
 @pytest.mark.parametrize("w,lam", [(1.0, 100.0), (1.5, 100.0), (1.0, 500.0)])
 def test_engine_against_mpmath_reference(w, lam):
     # the peak search's node set at the peak and the far window end, and
-    # `synthesize`'s own node set at the peak, at the exit and at xi = 3
+    # a node set built for one sample at the peak, at the exit and at xi = 3
     # (measured: at most 1.5e-12 relative, at lam = 500).  The call is
     # Phi_T itself: at W = 1.5 |Phi_T| ~ 1.7e-53 at the peak, e^{a lam} =
     # e^{111.8} below the engine's node sum
     params = DimensionlessParams(W=w, lam=lam)
     peak = peak_arrival(SPEC, params)
-    wave = peak.scan.wave
+    wave = peak.wave
     at_peak = _exit_amplitude_mp(params, 0.0, peak.tau_peak)
-    far_end = peak.scan.taus[-1]
+    far_end = peak.taus[-1]
     at_far_end = _exit_amplitude_mp(params, 0.0, far_end)
     assert abs(wave(0.0, peak.tau_peak) - at_peak) <= 1e-9 * abs(at_peak)
     assert abs(wave(0.0, far_end) - at_far_end) <= 1e-9 * abs(at_peak)
     assert peak.density_peak == pytest.approx(abs(at_peak) ** 2, rel=2e-9)
-    assert abs(synthesize(SPEC, params, 0.0, peak.tau_peak) - at_peak) <= 1e-9 * abs(at_peak)
+    at_exit = transmitted_integral(SPEC, params, 0.0, peak.tau_peak)(0.0, peak.tau_peak)
+    assert abs(at_exit - at_peak) <= 1e-9 * abs(at_peak)
     off_exit = _exit_amplitude_mp(params, 3.0, peak.tau_peak)
-    assert abs(synthesize(SPEC, params, 3.0, peak.tau_peak) - off_exit) <= 1e-9 * abs(off_exit)
+    sample = transmitted_integral(SPEC, params, 3.0, peak.tau_peak)(3.0, peak.tau_peak)
+    assert abs(sample - off_exit) <= 1e-9 * abs(off_exit)
 
 
 def test_monotone_peak_growth_and_velocity_trend():
@@ -376,6 +373,58 @@ def test_transit_time_offset_holds_at_large_lam():
         assert fine == pytest.approx(-30.5423, abs=0.005)
 
 
+def _tau_new_series() -> tuple[sympy.Expr, sympy.Expr, sympy.Symbol]:
+    """(1/lam^0, 1/lam^1) coefficients of tau_new in a, and the symbol a.
+
+    The closed form of `moments_closed_form`, s(n) = (n+2)!/lam^{n+3}
+    [1 + 2 a lam/(n+2) + (a lam)^2/((n+2)(n+1))], through the combinations
+    and the ratio of `phase_time_moments`, with W^2 = 1 + a^2; checked
+    against both functions at one point before it is expanded.
+    """
+    a, eps = sympy.symbols("a epsilon", positive=True)  # eps = 1/lam
+    lam = 1 / eps
+    s = [sympy.factorial(n + 2) / lam ** (n + 3)
+         * (1 + 2 * a * lam / (n + 2) + (a * lam) ** 2 / ((n + 2) * (n + 1))) for n in range(5)]
+    A, B, C = s[1] ** 2 - s[0] * s[2], s[1] * s[2] - s[0] * s[3], s[2] ** 2 - s[0] * s[4]
+    tau = (2 * (1 + a**2) * B + 4 * a * A) / (C + 4 * a * B + 4 * a**2 * A)
+    params = DimensionlessParams(W=1.5, lam=100.0)
+    point = {a: params.a, eps: 1 / params.lam}
+    moments = phasetime.moments_closed_form(params)
+    assert [float(m.subs(point)) for m in s] == pytest.approx(moments.values, rel=1e-13)
+    tau_code = phasetime.phase_time_moments(moments, params)
+    assert float(tau.subs(point)) == pytest.approx(tau_code, rel=1e-12)
+    series = sympy.series(tau, eps, 0, 2).removeO()
+    return series.coeff(eps, 0), series.coeff(eps, 1), a
+
+
+def test_opaque_peak_follows_tau_new_through_first_order():
+    # for W > 1, tau_new = 1/a + 2 (a^2 - 1) / (a^2 lam) + O(lam^-2), and
+    # tau_num - tau_new = O(lam^-2): lam^2 (tau_num - tau_new) settles on a
+    # constant that depends on the spectrum.  Between lam = 1600 and 3200 it
+    # moves by at most 1.66 % of its value over these nine cases (W = 2,
+    # default spectrum: 80.53 -> 79.22; bound 3 %, 1.8x margin), where an
+    # O(1/lam) gap would double it.  The stationary-phase time 1/a lacks the
+    # 1/lam term: lam (tau_num - 1/a) is within 0.0385 of 2 (a^2 - 1) / a^2 at
+    # lam = 3200 (bound 0.1), and the term vanishes at a = 1, W = sqrt(2)
+    c0, c1, a = _tau_new_series()
+    assert sympy.simplify(c0 - 1 / a) == 0
+    assert sympy.simplify(c1 - 2 * (a**2 - 1) / a**2) == 0
+    config = PeakSearchConfig(refine_tol=1e-11)
+    for w in (1.2, 1.5, 2.0):
+        for kappa0, delta in ((0.5, 10.0), (0.9, 30.0), (0.3, 5.0)):
+            spec = Spectrum(kappa0=kappa0, delta=delta)
+            second_order = []
+            for lam in (1600.0, 3200.0):
+                params = DimensionlessParams(W=w, lam=lam)
+                peak = peak_arrival(spec, params, config)
+                assert peak.refined
+                tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+                second_order.append(lam**2 * (peak.tau_peak - tau_new))
+            first_order = float(c1.subs(a, params.a))  # params and peak at lam = 3200
+            assert abs(lam * (peak.tau_peak - 1.0 / params.a) - first_order) <= 0.1
+            assert abs(second_order[1] - second_order[0]) <= 0.03 * abs(second_order[1])
+
+
 class TestFullReport:
     """The three phase times of one grid point, as `compute_row` reports them."""
 
@@ -413,7 +462,7 @@ class TestFullReport:
         # the peak window is filled from compute_row's own tau_new
         params = DimensionlessParams(W=1.2, lam=60.0)
         config = PeakSearchConfig(coarse_points=32, tau_max=tau_max)
-        window = coarse_scan(SPEC, params, config).taus
+        window = peak_arrival(SPEC, params, config).taus
         real_moments = phasetime.moments_closed_form
         calls = []
 

@@ -6,7 +6,7 @@ from scipy.special import erf
 from tunneltime.quadrature import QuadratureSettings
 from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
-from tunneltime.wavepacket import density_at_exit, synthesize, transmitted_integral
+from tunneltime.wavepacket import transmitted_integral
 
 # 1e6-node trapezoid oracle, W = 1, lam = 100, kappa0 = 0.5, delta = 10
 DENSITY_AT_2141 = 2.715531178453792e-16
@@ -16,29 +16,30 @@ REFERENCE = DimensionlessParams(W=1.0, lam=100.0)
 
 
 def test_zero_spectrum_gives_zero_amplitude():
-    assert synthesize(Spectrum(norm=0.0), REFERENCE, 0.0, 5.0) == 0.0
-    assert density_at_exit(Spectrum(norm=0.0), REFERENCE, 5.0) == 0.0
+    wave = transmitted_integral(Spectrum(norm=0.0), REFERENCE, 0.0, 5.0)
+    assert wave(0.0, 5.0) == 0.0
+    assert not wave.densities(5.0, 1.0, 1).any()
 
 
 def test_transparent_barrier_at_origin_is_spectrum_integral():
     # lam = 0, tau = 0, xi = 0: amplitude = Int_0^1 g = sqrt(pi/25) erf(2.5)
     params = DimensionlessParams(W=1.0, lam=0.0)
-    amplitude = synthesize(Spectrum(), params, 0.0, 0.0)
+    amplitude = transmitted_integral(Spectrum(), params, 0.0, 0.0)(0.0, 0.0)
     closed = math.sqrt(math.pi / 25.0) * erf(2.5)
     assert amplitude.real == pytest.approx(closed, rel=1e-10)
     assert abs(amplitude.imag) < 1e-12
 
 
 def test_density_against_trapezoid_oracle():
-    d = density_at_exit(Spectrum(), REFERENCE, 21.41)
+    d = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 21.41)(0.0, 21.41)) ** 2
     assert d == pytest.approx(DENSITY_AT_2141, rel=1e-3)
 
 
 def test_density_before_arrival_lower_than_peak():
     # the exit density is a shallow bump on a plateau: at tau = 0 it sits
     # just below the maximum (oracle ratio 0.9990), not orders below
-    d0 = density_at_exit(Spectrum(), REFERENCE, 0.0)
-    d_peak = density_at_exit(Spectrum(), REFERENCE, 21.41)
+    d0 = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 0.0)(0.0, 0.0)) ** 2
+    d_peak = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 21.41)(0.0, 21.41)) ** 2
     assert d0 == pytest.approx(DENSITY_AT_0, rel=1e-3)
     assert d0 < d_peak
     assert d0 / d_peak == pytest.approx(0.99897, rel=1e-3)
@@ -47,20 +48,20 @@ def test_density_before_arrival_lower_than_peak():
 def test_density_long_after_passage_decays():
     # tau = 1e6 needs ~2.2e5 seed panels to resolve the chirp on the support
     settings = QuadratureSettings(nodes_per_panel=16, max_panels=8_000_000, rel_tol=1e-5)
-    d_late = density_at_exit(Spectrum(), REFERENCE, 1e6, settings)
+    d_late = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 1e6, settings)(0.0, 1e6)) ** 2
     assert d_late < 1e-3 * DENSITY_AT_2141
 
 
 def test_linearity_in_spectrum_scale():
-    base = synthesize(Spectrum(norm=1.0), REFERENCE, 0.3, 17.0)
-    doubled = synthesize(Spectrum(norm=2.0), REFERENCE, 0.3, 17.0)
+    base = transmitted_integral(Spectrum(norm=1.0), REFERENCE, 0.3, 17.0)(0.3, 17.0)
+    doubled = transmitted_integral(Spectrum(norm=2.0), REFERENCE, 0.3, 17.0)(0.3, 17.0)
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
     assert abs(doubled) ** 2 == pytest.approx(4.0 * abs(base) ** 2, rel=1e-12)
 
 
 def test_rejects_position_inside_barrier():
     with pytest.raises(ValueError):
-        synthesize(Spectrum(), REFERENCE, -0.1, 1.0)
+        transmitted_integral(Spectrum(), REFERENCE, -0.1, 1.0)
 
 
 @pytest.mark.parametrize("position,time,named", [
@@ -71,15 +72,16 @@ def test_rejects_non_finite_position_or_time(position, time, named):
     # a ValueError naming the argument, not an OverflowError from the seed
     # panel count
     with pytest.raises(ValueError, match=named):
-        synthesize(Spectrum(), REFERENCE, position, time)
-    with pytest.raises(ValueError, match=named):
         transmitted_integral(Spectrum(), REFERENCE, position, time)
 
 
 def test_density_is_modulus_squared():
-    amplitude = synthesize(Spectrum(), REFERENCE, 0.0, 21.41)
+    # the peak search's rescaled density, rescaling undone, is |Phi_T|^2
+    wave = transmitted_integral(Spectrum(), REFERENCE, 0.0, 21.41)
+    amplitude = wave(0.0, 21.41)
     assert isinstance(amplitude, complex)
-    assert density_at_exit(Spectrum(), REFERENCE, 21.41) == abs(amplitude) ** 2
+    (scaled,) = wave.densities(21.41, 1.0, 1)
+    assert wave.unscale(scaled) == pytest.approx(abs(amplitude) ** 2, rel=1e-13)
 
 
 @pytest.mark.parametrize("lam", [50.0, 250.0, 500.0])
@@ -87,8 +89,11 @@ def test_node_doubling_stability_at_peak(lam):
     # doubling nodes_per_panel moves the peak density by < 0.1%
     params = DimensionlessParams(W=1.0, lam=lam)
     tau_peak = 0.96 * (2.0 / 9.0) * lam  # near the observed maximum
-    d32 = density_at_exit(Spectrum(), params, tau_peak, QuadratureSettings(nodes_per_panel=32))
-    d64 = density_at_exit(Spectrum(), params, tau_peak, QuadratureSettings(nodes_per_panel=64))
+    d32, d64 = (
+        abs(transmitted_integral(Spectrum(), params, 0.0, tau_peak, settings)(0.0, tau_peak)) ** 2
+        for settings in (QuadratureSettings(nodes_per_panel=32),
+                         QuadratureSettings(nodes_per_panel=64))
+    )
     assert d64 == pytest.approx(d32, rel=1e-3)
 
 
