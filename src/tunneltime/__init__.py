@@ -8,12 +8,13 @@ simulation with peak-arrival detection.
 import os
 import sys
 
-# The package makes one BLAS call, the coarse scan's 16-row matrix-vector
-# product (zgemv), which needs no threads, and the thread pool OpenBLAS
-# starts when numpy loads only spins.  Ask for a single-threaded OpenBLAS
-# unless the user chose a count, or numpy is already loaded and the setting
-# could no longer take effect (it would only leak into that program's
-# subprocesses).
+# The package's linear algebra is the coarse scan's 16-row matrix-vector
+# product (a BLAS zgemv) and one LAPACK eigh per Gauss-Legendre rule size
+# and process (n x n for n nodes, 32 by default); neither needs threads,
+# and the thread pool OpenBLAS starts when numpy loads only spins.  Ask
+# for a single-threaded OpenBLAS unless the user chose a count, or numpy
+# is already loaded and the setting could no longer take effect (it would
+# only leak into that program's subprocesses).
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

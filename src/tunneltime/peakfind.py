@@ -121,9 +121,7 @@ def peak_arrival(
     """
     config = search_window(config or PeakSearchConfig(), params)
     tau_lo, tau_hi, n = config.tau_min, config.tau_max, config.coarse_points
-    wave = wavepacket.transmitted_integral(
-        spec, params, 0.0, max(abs(tau_lo), abs(tau_hi)), settings
-    )
+    wave = wavepacket.transmitted_integral(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     step = (tau_hi - tau_lo) / (n - 1)
     taus = [tau_lo + i * step for i in range(n)]
     dens = wave.densities(tau_lo, step, n)
@@ -148,7 +146,7 @@ def peak_arrival(
         tau_peak = 0.5 * (lo + hi)
     return PeakResult(
         tau_peak=tau_peak,
-        density_peak=abs(wave(0.0, tau_peak)) ** 2,
+        density_peak=abs(wave(tau_peak)) ** 2,
         window_hit=window_hit,
         refined=refined,
         refine_iters=iters,

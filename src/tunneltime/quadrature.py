@@ -122,7 +122,8 @@ def integrate_adaptive(
     """Refine [lo, hi] until every panel's integral of f meets settings.rel_tol.
 
     initial_panels seeds a uniform subdivision before refinement (used by
-    the wave-packet synthesis to resolve the e^{-i kappa^2 tau} chirp).
+    `wavepacket.transmitted_integral` to resolve the e^{-i kappa^2 tau}
+    chirp).
     Raises QuadratureError when max_panels is hit before convergence.
     """
     settings = settings or QuadratureSettings()

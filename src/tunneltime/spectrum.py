@@ -41,8 +41,9 @@ class Spectrum:
     def __post_init__(self) -> None:
         if not 0.0 < self.kappa0 < 1.0:
             raise ValueError(f"kappa0 must lie in (0, 1), got {self.kappa0}")
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        # g squares delta; past sqrt(max double) ~ 1.34e154 that overflows
+        if not (0.0 < self.delta and math.isfinite(self.delta * self.delta)):
+            raise ValueError(f"delta must be positive with a finite square, got {self.delta}")
         if not 0.0 <= self.norm < math.inf:
             raise ValueError(f"norm must be non-negative and finite, got {self.norm}")
 

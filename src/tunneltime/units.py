@@ -10,7 +10,6 @@ Conventions (k_M = sqrt(2 m E_M)/hbar is the spectrum cutoff):
 * wavenumbers ``kappa = k / k_M`` in (0, 1]
 * evanescent ratio ``a = q_M / k_M = sqrt(W**2 - 1)``
 * times ``tau = E_M t / hbar``
-* lengths after the barrier ``xi = k_M (x - L)``
 """
 
 from __future__ import annotations

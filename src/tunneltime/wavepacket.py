@@ -1,37 +1,37 @@
-"""Transmitted wave packet by spectral quadrature.
+"""Transmitted wave packet at the barrier exit, by spectral quadrature.
 
 The packet past the barrier is the superposition of the transmitted
-stationary states,
+stationary states; at the exit x = L it is
 
-    Phi_T(xi, tau) = Int_0^1 dkappa g(kappa) |T(kappa)| e^{i phi(kappa)}
-                     e^{i (kappa xi - kappa^2 tau)},
+    Phi_T(tau) = Int_0^1 dkappa g(kappa) |T(kappa)| e^{i phi(kappa)} e^{-i kappa^2 tau},
 
-with xi = k_M (x - L) >= 0 and tau = E_M t / hbar.  The exact amplitude is
-used throughout; the opaque-limit approximation lives in `phasetime` so the
-numerical ground truth stays independent of the model being tested.
+with tau = E_M t / hbar.  The paper's numerical phase time is the arrival
+of the peak of |Phi_T|^2 there, so the wave is only ever sampled at the
+exit.  The exact amplitude is used throughout; the opaque-limit
+approximation lives in `phasetime` so the numerical ground truth stays
+independent of the model being tested.
 
 One engine evaluates it (`transmitted_integral`).  It refines the
 factor g |T| e^{i phi} (times e^{a lam}) once, on panels seeded for the
-oscillation e^{i (kappa xi - kappa^2 tau)} at the largest xi and |tau|
-asked for, and therefore at every smaller one.  Near E_M = V0 the barrier
-filters the packet onto a thin strip below the cutoff, so the refinement
-runs on the support [kappa_c, 1] only (`_support_cut`): kappa_c comes from
-bounds on |T| alone, before any node is evaluated, and the mass it drops
-is at most eps/2 * sum|amp| (eps the double-precision machine epsilon).
-The refinement hands back the factor on its accepted nodes, so each node
-is evaluated once: amp_j is the node's weight times that value.  It keeps
+chirp e^{-i kappa^2 tau} at the largest |tau| asked for, and therefore at
+every smaller one.  Near E_M = V0 the barrier filters the packet onto a
+thin strip below the cutoff, so the refinement runs on the support
+[kappa_c, 1] only (`_support_cut`): kappa_c comes from bounds on |T|
+alone, before any node is evaluated, and the mass it drops is at most
+eps/2 * sum|amp| (eps the double-precision machine epsilon).  The
+refinement hands back the factor on its accepted nodes, so each node is
+evaluated once: amp_j is the node's weight times that value.  It keeps
 the nodes with |amp_j| > (eps/2) * sum|amp| / N (N the node count), and
-then Phi_T(xi, tau) = sum_j amp_j e^{i (kappa_j xi - kappa_j^2 tau)} costs
-one exponential per kept node and sample.  The cut and the dropped terms
-together move Phi_T by at most eps * sum|amp| at any (xi, tau), and
-|Phi_T| ~ sum|amp| at the peak.  At W = 1, lam = 500 the support is
-[0.992, 1]: 22 panels instead of 736 on [0, 1], and 426 of its 704 nodes
-stay.
+then Phi_T(tau) costs one exponential per kept node and sample.  The cut
+and the dropped terms together move Phi_T by at most eps * sum|amp| at
+any tau, and |Phi_T| ~ sum|amp| at the peak.  At W = 1, lam = 500 the
+support is [0.992, 1]: 22 panels instead of 736 on [0, 1], and 426 of
+its 704 nodes stay.
 
 The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1
 = (kappa_j - 1)(kappa_j + 1), so that
 
-    Phi_T(xi, tau) = e^{-i tau - a lam} sum_j amp_j e^{i (kappa_j xi - s_j tau)}
+    Phi_T(tau) = e^{-i tau - a lam} sum_j amp_j e^{-i s_j tau}
 
 with amp_j carrying e^{a lam}.  |Phi_T|^2 does not depend on the common
 phase e^{-i tau}; near E_M = V0 every kappa_j^2 is close to 1, and
@@ -40,8 +40,8 @@ keeps its digits only when it is formed from the small s_j.  Calling the
 engine gives Phi_T itself; its peak-search methods (`densities`, `slope`)
 leave out the factor e^{-2 a lam}, which keeps opaque configurations
 representable and does not move the argmax.  The peak search (`peakfind`)
-builds the engine once for its whole window at the exit; a single sample
-is `transmitted_integral(spec, params, xi, tau)(xi, tau)`.
+builds the engine once for its whole window; a single sample is
+`transmitted_integral(spec, params, tau)(tau)`.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from .units import DimensionlessParams
 _BLOCK = 16
 
 
-def _initial_panels(position: float, time: float) -> int:
-    return math.ceil(4.0 * (1.0 + (abs(time) + abs(position)) / (2.0 * math.pi)))
+def _initial_panels(time: float) -> int:
+    return math.ceil(4.0 * (1.0 + abs(time) / (2.0 * math.pi)))
 
 
 def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
@@ -105,7 +105,7 @@ def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
 
 @dataclass(frozen=True)
 class TransmittedWave:
-    """Phi_T(xi, tau) on one composite Gauss-Legendre node set.
+    """Phi_T(tau) at the exit on one composite Gauss-Legendre node set.
 
     amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}
     on the kept nodes of the composite rule on [kappa_cut, 1]
@@ -114,20 +114,19 @@ class TransmittedWave:
     size of the node set the refinement chose, before any node was dropped.
     """
 
-    kappa: np.ndarray
     s: np.ndarray
     amp: np.ndarray
     panels: int
     log_scale: float
     kappa_cut: float
 
-    def __call__(self, position: float, time: float) -> complex:
-        """Phi_T(position, time)."""
-        total = np.sum(self.amp * np.exp(1j * (self.kappa * position - self.s * time)))
+    def __call__(self, time: float) -> complex:
+        """Phi_T(time)."""
+        total = np.sum(self.amp * np.exp(-1j * time * self.s))
         return complex(total) * cmath.exp(complex(-self.log_scale, -time))
 
     def densities(self, start: float, step: float, n: int) -> np.ndarray:
-        """|Phi_T(0, start + i step)|^2 e^{2 log_scale} for i = 0 .. n - 1.
+        """|Phi_T(start + i step)|^2 e^{2 log_scale} for i = 0 .. n - 1.
 
         powers[r, j] = e^{-i r step s_j}, r < _BLOCK, by repeated products
         of one exponential per node (row by row: np.cumprod down the columns
@@ -151,7 +150,7 @@ class TransmittedWave:
         return dens[:n]
 
     def slope(self, time: float) -> float:
-        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau at the exit, times e^{2 log_scale}."""
+        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau, times e^{2 log_scale}."""
         terms = self.amp * np.exp(-1j * time * self.s)
         return float((np.conj(terms.sum()) * np.sum(self.s * terms)).imag)
 
@@ -163,22 +162,18 @@ class TransmittedWave:
 def transmitted_integral(
     spec: Spectrum,
     params: DimensionlessParams,
-    position: float,
     time: float,
     settings: QuadratureSettings | None = None,
 ) -> TransmittedWave:
-    """Transmitted wave for every 0 <= xi <= position and |tau| <= |time|.
+    """Transmitted wave at the exit for every |tau| <= |time|.
 
     The amplitude factor is refined to settings.rel_tol on the support
     [kappa_c, 1] (`_support_cut`), from the uniform panels that resolve
-    e^{i (kappa position - kappa^2 time)} there; QuadratureError is raised
-    when that needs more than settings.max_panels panels.  The opaque
+    e^{-i kappa^2 time} there; QuadratureError is raised when that needs
+    more than settings.max_panels panels.  The opaque
     suppression is factored out of the node amplitudes (log_scale = a * lam)
     so that they stay representable; calling the wave restores it.
     """
-    if not 0.0 <= position < math.inf:
-        raise ValueError("position is measured from the barrier exit and must be finite "
-                         f"and >= 0, got {position}")
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time}")
     settings = settings or QuadratureSettings()
@@ -189,17 +184,16 @@ def transmitted_integral(
         mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
         return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
 
-    seed = _initial_panels(position * (1.0 - kappa_cut), time * (1.0 - kappa_cut * kappa_cut))
+    seed = _initial_panels(time * (1.0 - kappa_cut * kappa_cut))
     rule = integrate_adaptive(amplitude, kappa_cut, 1.0, settings, initial_panels=seed)
     kappa, weights = rule.nodes()  # rule.samples: the amplitude on these nodes
     amp = weights * rule.samples
-    # with the cut's eps/2, the dropped terms change Phi at any (xi, tau) by
+    # with the cut's eps/2, the dropped terms change Phi at any tau by
     # at most eps * sum|amp|
     mag = np.abs(amp)
     keep = mag > 0.5 * np.finfo(float).eps * mag.sum() / mag.size
     kappa = kappa[keep]
     return TransmittedWave(
-        kappa=kappa,
         s=(kappa - 1.0) * (kappa + 1.0),
         amp=amp[keep],
         panels=rule.panels,

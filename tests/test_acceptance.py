@@ -196,7 +196,7 @@ def test_criterion_7_property_suite(table1_run):
     for row in rows:
         params = DimensionlessParams(W=1.0, lam=row.lam)
         d32, d64 = (
-            abs(transmitted_integral(spec, params, 0.0, row.tau_num, settings)(0.0, row.tau_num)) ** 2
+            abs(transmitted_integral(spec, params, row.tau_num, settings)(row.tau_num)) ** 2
             for settings in (QuadratureSettings(nodes_per_panel=32),
                              QuadratureSettings(nodes_per_panel=64))
         )

@@ -142,12 +142,32 @@ def test_default_output_name(tmp_path, monkeypatch):
         ["single", "--w-ratio", "nan"],
         ["table1", "--lambda", "50,inf"],
         ["table1", "--trace"],
+        ["single", "--delta", "1e200"],  # the spectrum squares delta
+        ["table1", "--delta", "1e200"],
     ],
 )
 def test_grid_the_experiment_cannot_run_is_rejected(tmp_path, capsys, argv):
     out = tmp_path / "rejected.csv"
     assert main([*argv, "--out", str(out)]) == 1
     assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_delta_still_runs_to_an_underflowed_row(tmp_path):
+    # delta = 1e154 squares to a double; g underflows to 0 away from kappa0,
+    # so the row fails on its density, as a numerical failure
+    out = tmp_path / "row.csv"
+    assert main(["single", "--delta", "1e154", "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note.startswith("failed: exit density is 0")
+
+
+def test_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff")
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"tunneltime: invalid config: {cfg}: not UTF-8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,10 +249,10 @@ def test_committed_results_match_a_fresh_run(tmp_path, experiment):
 
 
 def test_reproduce_script_regenerates_the_committed_files(tmp_path):
-    # the regeneration step itself, from an uninstalled checkout: fig2's
-    # script writes results/ under its working directory
+    # the regeneration step itself, from an uninstalled checkout: the
+    # script writes all five files under results/ in its working directory
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_fig2.py")],
+        [sys.executable, str(ROOT / "scripts" / "reproduce.py")],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
@@ -259,8 +260,31 @@ def test_reproduce_script_regenerates_the_committed_files(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    for name in ("fig2.csv", "fig2.csv.gnuplot"):
+    for name in ("table1.csv", "fig1.csv", "fig1.csv.gnuplot", "fig2.csv", "fig2.csv.gnuplot"):
         assert (tmp_path / "results" / name).read_bytes() == (RESULTS / name).read_bytes()
+
+
+def test_readme_quickstart_prints_what_its_comments_say():
+    # the README's library example, run from an uninstalled checkout: each
+    # printed line matches its `# ...` comment to the digits shown there
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    done = subprocess.run(
+        [sys.executable, "-c", block],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    for printed, comment in zip(done.stdout.splitlines(), comments, strict=True):
+        shown = comment.split()[0]
+        if re.fullmatch(r"-?\d+\.\d+", shown):
+            assert f"{float(printed):.{len(shown.split('.')[1])}f}" == shown
+        else:
+            assert printed in (shown, comment)
 
 
 class TestSweeps:

@@ -7,9 +7,14 @@ from tunneltime.quadrature import QuadratureSettings
 from tunneltime.spectrum import Spectrum, evaluate, mean_k_opaque, transmitted_mean_k
 from tunneltime.units import DimensionlessParams
 
-# 1e6-node trapezoid oracle values (exact integrand, uniform grid on [0, 1])
-MEAN_K_W1_LAM100 = 0.9997810920106293
-MEAN_K_WSQRT2_LAM100 = 0.9931559479871814
+# Int kappa g^2 |T|^2 / Int g^2 |T|^2 at lam = 100 (kappa0 = 0.5, delta = 10),
+# with |T|^2 = 1 / (cosh^2 u + b^2 sinh^2(u) / u^2), by mpmath Gauss-Legendre
+# at 30 digits on [0, 1] split into 20 even pieces, 1/400-wide pieces on
+# [0.9, 1] and [1 - 10^-e, 1] for e <= 8.  Doubling the fine pieces and the
+# maximum degree moves neither value in its first 21 digits; tanh-sinh on
+# the same pieces agrees to 20 digits at W = 1 and to 2e-14 at W = sqrt(2)
+MEAN_K_W1_LAM100 = 0.9997810908913221
+MEAN_K_WSQRT2_LAM100 = 0.9931559479621906
 
 
 def test_evaluate_examples():
@@ -37,6 +42,8 @@ def test_spectrum_validation():
         Spectrum(delta=0.0)
     with pytest.raises(ValueError):
         Spectrum(delta=float("inf"))
+    with pytest.raises(ValueError, match="delta"):  # g squares delta
+        Spectrum(delta=1e200)
     for bad in (-1.0, math.nan, math.inf):  # nan and inf would refine a nan integrand
         with pytest.raises(ValueError, match="norm"):
             Spectrum(norm=bad)
@@ -53,10 +60,10 @@ def test_mean_k_transparent_barrier_is_spectrum_mean():
 def test_mean_k_filter_effect_against_trapezoid_oracle():
     spec = Spectrum()
     mk = transmitted_mean_k(spec, DimensionlessParams(W=1.0, lam=100.0))
-    assert mk == pytest.approx(MEAN_K_W1_LAM100, rel=2e-5)
+    assert mk == pytest.approx(MEAN_K_W1_LAM100, rel=1e-10)
     assert mk > 0.99
     mk2 = transmitted_mean_k(spec, DimensionlessParams(W=math.sqrt(2.0), lam=100.0))
-    assert mk2 == pytest.approx(MEAN_K_WSQRT2_LAM100, rel=2e-5)
+    assert mk2 == pytest.approx(MEAN_K_WSQRT2_LAM100, rel=1e-10)
 
 
 def test_mean_k_degenerate_spectrum_raises():

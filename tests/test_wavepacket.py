@@ -16,30 +16,30 @@ REFERENCE = DimensionlessParams(W=1.0, lam=100.0)
 
 
 def test_zero_spectrum_gives_zero_amplitude():
-    wave = transmitted_integral(Spectrum(norm=0.0), REFERENCE, 0.0, 5.0)
-    assert wave(0.0, 5.0) == 0.0
+    wave = transmitted_integral(Spectrum(norm=0.0), REFERENCE, 5.0)
+    assert wave(5.0) == 0.0
     assert not wave.densities(5.0, 1.0, 1).any()
 
 
 def test_transparent_barrier_at_origin_is_spectrum_integral():
     # lam = 0, tau = 0, xi = 0: amplitude = Int_0^1 g = sqrt(pi/25) erf(2.5)
     params = DimensionlessParams(W=1.0, lam=0.0)
-    amplitude = transmitted_integral(Spectrum(), params, 0.0, 0.0)(0.0, 0.0)
+    amplitude = transmitted_integral(Spectrum(), params, 0.0)(0.0)
     closed = math.sqrt(math.pi / 25.0) * erf(2.5)
     assert amplitude.real == pytest.approx(closed, rel=1e-10)
     assert abs(amplitude.imag) < 1e-12
 
 
 def test_density_against_trapezoid_oracle():
-    d = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 21.41)(0.0, 21.41)) ** 2
+    d = abs(transmitted_integral(Spectrum(), REFERENCE, 21.41)(21.41)) ** 2
     assert d == pytest.approx(DENSITY_AT_2141, rel=1e-3)
 
 
 def test_density_before_arrival_lower_than_peak():
     # the exit density is a shallow bump on a plateau: at tau = 0 it sits
     # just below the maximum (oracle ratio 0.9990), not orders below
-    d0 = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 0.0)(0.0, 0.0)) ** 2
-    d_peak = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 21.41)(0.0, 21.41)) ** 2
+    d0 = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0)(0.0)) ** 2
+    d_peak = abs(transmitted_integral(Spectrum(), REFERENCE, 21.41)(21.41)) ** 2
     assert d0 == pytest.approx(DENSITY_AT_0, rel=1e-3)
     assert d0 < d_peak
     assert d0 / d_peak == pytest.approx(0.99897, rel=1e-3)
@@ -48,37 +48,29 @@ def test_density_before_arrival_lower_than_peak():
 def test_density_long_after_passage_decays():
     # tau = 1e6 needs ~2.2e5 seed panels to resolve the chirp on the support
     settings = QuadratureSettings(nodes_per_panel=16, max_panels=8_000_000, rel_tol=1e-5)
-    d_late = abs(transmitted_integral(Spectrum(), REFERENCE, 0.0, 1e6, settings)(0.0, 1e6)) ** 2
+    d_late = abs(transmitted_integral(Spectrum(), REFERENCE, 1e6, settings)(1e6)) ** 2
     assert d_late < 1e-3 * DENSITY_AT_2141
 
 
 def test_linearity_in_spectrum_scale():
-    base = transmitted_integral(Spectrum(norm=1.0), REFERENCE, 0.3, 17.0)(0.3, 17.0)
-    doubled = transmitted_integral(Spectrum(norm=2.0), REFERENCE, 0.3, 17.0)(0.3, 17.0)
+    base = transmitted_integral(Spectrum(norm=1.0), REFERENCE, 17.0)(17.0)
+    doubled = transmitted_integral(Spectrum(norm=2.0), REFERENCE, 17.0)(17.0)
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
     assert abs(doubled) ** 2 == pytest.approx(4.0 * abs(base) ** 2, rel=1e-12)
 
 
-def test_rejects_position_inside_barrier():
-    with pytest.raises(ValueError):
-        transmitted_integral(Spectrum(), REFERENCE, -0.1, 1.0)
-
-
-@pytest.mark.parametrize("position,time,named", [
-    (0.0, math.inf, "time"), (0.0, -math.inf, "time"), (0.0, math.nan, "time"),
-    (math.inf, 1.0, "position"), (math.nan, 1.0, "position"),
-])
-def test_rejects_non_finite_position_or_time(position, time, named):
+@pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+def test_rejects_non_finite_time(time):
     # a ValueError naming the argument, not an OverflowError from the seed
     # panel count
-    with pytest.raises(ValueError, match=named):
-        transmitted_integral(Spectrum(), REFERENCE, position, time)
+    with pytest.raises(ValueError, match="time"):
+        transmitted_integral(Spectrum(), REFERENCE, time)
 
 
 def test_density_is_modulus_squared():
     # the peak search's rescaled density, rescaling undone, is |Phi_T|^2
-    wave = transmitted_integral(Spectrum(), REFERENCE, 0.0, 21.41)
-    amplitude = wave(0.0, 21.41)
+    wave = transmitted_integral(Spectrum(), REFERENCE, 21.41)
+    amplitude = wave(21.41)
     assert isinstance(amplitude, complex)
     (scaled,) = wave.densities(21.41, 1.0, 1)
     assert wave.unscale(scaled) == pytest.approx(abs(amplitude) ** 2, rel=1e-13)
@@ -90,7 +82,7 @@ def test_node_doubling_stability_at_peak(lam):
     params = DimensionlessParams(W=1.0, lam=lam)
     tau_peak = 0.96 * (2.0 / 9.0) * lam  # near the observed maximum
     d32, d64 = (
-        abs(transmitted_integral(Spectrum(), params, 0.0, tau_peak, settings)(0.0, tau_peak)) ** 2
+        abs(transmitted_integral(Spectrum(), params, tau_peak, settings)(tau_peak)) ** 2
         for settings in (QuadratureSettings(nodes_per_panel=32),
                          QuadratureSettings(nodes_per_panel=64))
     )
@@ -101,7 +93,7 @@ def test_panel_count_grows_with_oscillation():
     # seeding is linear in |tau| over the support [kappa_c, 1], where the
     # chirp's phase spans tau (1 - kappa_c^2) (kappa_c = 0.811 at lam = 100)
     spec = Spectrum()
-    waves = {tau: transmitted_integral(spec, REFERENCE, 0.0, tau) for tau in (50.0, 200.0, 800.0)}
+    waves = {tau: transmitted_integral(spec, REFERENCE, tau) for tau in (50.0, 200.0, 800.0)}
     panels = {tau: wave.panels for tau, wave in waves.items()}
     cut = waves[800.0].kappa_cut
     assert cut == pytest.approx(0.811, abs=1e-3)
@@ -119,7 +111,7 @@ def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
     # at W = 1 the transmitted weight sits on a strip of width O(1/lam^2)
     # below the cutoff; at W = 2 it is spread over [0, 1] and nothing is cut
     params = DimensionlessParams(W=w, lam=lam)
-    wave = transmitted_integral(Spectrum(), params, 0.0, 10.0)
+    wave = transmitted_integral(Spectrum(), params, 10.0)
     assert (wave.kappa_cut > 0.0) == cut
     if cut:  # at a = 0, 1 - kappa_c^2 = q_c^2 with lam q_c = 63 (500), 69 (3000)
         assert 1.0 - wave.kappa_cut**2 < (80.0 / lam) ** 2
