@@ -34,8 +34,6 @@ from .phasetime import (
 from .quadrature import QuadratureError, QuadratureResult, QuadratureSettings, integrate_adaptive
 from .spectrum import Spectrum, evaluate, mean_k_opaque, transmitted_mean_k
 from .transmission import (
-    TransmissionValue,
-    amplitude,
     amplitude_opaque,
     modulus_phase,
     stationary_time_full,
@@ -63,9 +61,7 @@ __all__ = [
     "QuadratureResult",
     "QuadratureSettings",
     "Spectrum",
-    "TransmissionValue",
     "UnitScales",
-    "amplitude",
     "amplitude_opaque",
     "denormalize",
     "electron_barrier",

@@ -258,8 +258,9 @@ def compute_row(
     """The three phase times of one (lam, W) grid point, side by side.
 
     tau_spm (opaque stationary phase, 1/a) is None at a = 0, where it
-    diverges; tau_new (moments) also fills the unset search-window bounds
-    for tau_num (simulated peak arrival).  Failures are captured in the note
+    diverges; tau_new (moments) also fills the window: peak_arrival takes it
+    for the unset bounds of the search for tau_num (simulated peak
+    arrival).  Failures are captured in the note
     column so that sweeps can continue; window hits are reported the same
     way (the result is untrustworthy until the caller widens the window).
     With trace set, the row also carries the coarse scan of its peak search
@@ -271,8 +272,7 @@ def compute_row(
         tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
         tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
         # the window comes from the tau_new above, so the moments run once
-        window = peakfind.search_window(peak_config, params, tau_new)
-        peak = peakfind.peak_arrival(spec, params, window, settings)
+        peak = peakfind.peak_arrival(spec, params, peak_config, settings, tau_new)
         v_transit = phasetime.transit_velocity(peak.tau_peak, params)
         ratio_ana_num = 100.0 * phasetime.transit_velocity(tau_new, params) / v_transit
     except (QuadratureError, ValueError) as exc:
@@ -282,7 +282,7 @@ def compute_row(
     if peak.window_hit:
         notes.append("window_hit: peak at search boundary, widen tau_min/tau_max")
     elif not peak.refined:
-        notes.append("unrefined: coarse scan not unimodal at the argmax")
+        notes.append("unrefined: density slope does not fall from + to - across the argmax")
     if tau_spm is None:
         notes.append("tau_spm diverges (E_M = V0)")
     return ResultRow(

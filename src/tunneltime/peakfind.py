@@ -9,12 +9,14 @@ sign does not).  Both run on one node set per configuration
 the density is a smooth function of tau with no panel-set noise; the
 engine's `densities` gives the coarse scan and its `slope` the sign.  Both
 leave out the common factor e^{-2 a lam}, which keeps the argmax and keeps
-opaque configurations representable; the peak density is |Phi_T|^2 itself.
+opaque configurations representable.  The bracket is trusted on one test:
+the slope falls from + to - across it.
 `peak_arrival` is the whole search, and its result carries the scan and
 the engine it ran on.
 One rule (`search_window`) fills each unset window bound from
-`default_window(tau_new)`, tau_new being the moment phase time; a set bound
-that empties the window is an error naming tau_new.
+`default_window(tau_new)`, tau_new being the moment phase time (computed
+there unless the caller passes it); a set bound that empties the window is
+an error naming tau_new.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ class PeakSearchConfig:
 
 @dataclass(frozen=True)
 class PeakResult:
-    """Peak time and density, with the coarse scan and the engine behind it.
+    """Peak time, with the coarse scan and the engine behind it.
 
-    densities holds |Phi_T(0, tau)|^2 e^{2 a lam} at taus (see `trace`).
+    densities holds |Phi_T(0, tau)|^2 e^{2 a lam} at taus (see `trace`);
+    wave(tau_peak) is Phi_T at the peak.
     """
 
     tau_peak: float
-    density_peak: float
     window_hit: bool
     refined: bool
     refine_iters: int
@@ -103,23 +105,25 @@ def peak_arrival(
     params: DimensionlessParams,
     config: PeakSearchConfig | None = None,
     settings: QuadratureSettings | None = None,
+    tau_new: float | None = None,
 ) -> PeakResult:
     """Locate the exit-density maximum inside the search window.
 
-    The window (`search_window`) is scanned at config.coarse_points evenly
-    spaced taus.  window_hit is set (and refinement skipped) when the
-    coarse argmax lies within one grid step of a window boundary; the
-    caller must widen.  Otherwise the bracket [tau_{i-1}, tau_{i+1}] around
-    the coarse argmax is bisected on the sign of `TransmittedWave.slope`
-    down to refine_tol, or to two adjacent doubles, and its midpoint is
-    within max(refine_tol / 2, their gap) of the density's stationary
-    point.  refined is False when bisection did not run: on a window hit,
-    or when the scan is not unimodal at its argmax or the slope does not
-    fall from + to - across the bracket (the grid argmax is returned).
+    The window (`search_window`, given tau_new when the caller has it) is
+    scanned at config.coarse_points evenly spaced taus.  window_hit is set
+    (and refinement skipped) when the coarse argmax lies within one grid
+    step of a window boundary; the caller must widen.  Otherwise the
+    bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is bisected on
+    the sign of `TransmittedWave.slope` down to refine_tol, or to two
+    adjacent doubles, and its midpoint is within max(refine_tol / 2, their
+    gap) of a stationary point of the density, a maximum: the sign change
+    from + to - is kept at every step.  refined is False when bisection did
+    not run: on a window hit, or when the slope does not fall from + to -
+    across the bracket (the grid argmax is returned).
     Raises ValueError when the density is 0 at every coarse sample, which
     has no peak (a zero spectrum norm, or a density that underflows).
     """
-    config = search_window(config or PeakSearchConfig(), params)
+    config = search_window(config or PeakSearchConfig(), params, tau_new)
     tau_lo, tau_hi, n = config.tau_min, config.tau_max, config.coarse_points
     wave = wavepacket.transmitted_integral(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     step = (tau_hi - tau_lo) / (n - 1)
@@ -130,9 +134,7 @@ def peak_arrival(
                          f"{tau_hi:.6g}]: the spectrum norm is 0 or the density underflows")
     i_best = int(np.argmax(dens))
     window_hit = i_best <= 1 or i_best >= n - 2
-    # three-point unimodality and a + to - slope change before trusting the bracket
-    refined = not window_hit and bool(dens[i_best - 1] < dens[i_best] > dens[i_best + 1])
-    refined = refined and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
+    refined = not window_hit and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
     tau_peak, iters = taus[i_best], 0
     if refined:
         lo, hi = taus[i_best - 1], taus[i_best + 1]
@@ -146,7 +148,6 @@ def peak_arrival(
         tau_peak = 0.5 * (lo + hi)
     return PeakResult(
         tau_peak=tau_peak,
-        density_peak=abs(wave(tau_peak)) ** 2,
         window_hit=window_hit,
         refined=refined,
         refine_iters=iters,

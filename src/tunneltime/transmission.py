@@ -22,26 +22,10 @@ removable singularity at k = w (q -> 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .units import DimensionlessParams
-
-
-@dataclass(frozen=True)
-class TransmissionValue:
-    """|T| and barrier phase at one wavenumber ratio kappa = k/k_M."""
-
-    modulus: float
-    phase: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.modulus <= 1.0):
-            raise ValueError(f"modulus out of (0, 1]: {self.modulus}")
-        if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
 
 
 def _kernel(u: np.ndarray, b: np.ndarray, log_scale: float = 0.0):
@@ -67,7 +51,7 @@ def _kernel(u: np.ndarray, b: np.ndarray, log_scale: float = 0.0):
 
 
 def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0):
-    """Vectorized |T(kappa)| * e^{log_scale} and phase phi(kappa).
+    """|T(kappa)| * e^{log_scale} and phase phi(kappa), kappa a scalar or an array.
 
     kappa must lie in (0, W]; values in (0, 1] are the physical spectrum
     range.  log_scale lets callers factor out the e^{-q_M L} suppression
@@ -81,14 +65,6 @@ def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0):
     u = lam * np.sqrt((W - kappa) * (W + kappa))  # no cancellation as kappa -> W
     b = (2.0 * kappa * kappa - W * W) * lam / (2.0 * kappa)
     return _kernel(u, b, log_scale)
-
-
-def amplitude(kappa: float, params: DimensionlessParams) -> TransmissionValue:
-    """Exact transmitted amplitude at a single kappa = k/k_M in (0, 1]."""
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    mod, ph = modulus_phase(np.atleast_1d(kappa), params)
-    return TransmissionValue(modulus=float(mod[0]), phase=float(ph[0]), kappa=float(kappa))
 
 
 def amplitude_opaque(kappa, params: DimensionlessParams):

@@ -148,18 +148,10 @@ class TestRows:
         assert row.note.endswith("; tau_spm diverges (E_M = V0)")  # both notes kept
 
     def test_unrefined_peak_noted(self, monkeypatch):
-        real_densities = wavepacket.TransmittedWave.densities
-
-        def flat_top(self, *args):
-            dens = real_densities(self, *args)
-            i = int(dens.argmax())
-            dens[i + 1] = dens[i]
-            return dens
-
-        monkeypatch.setattr(wavepacket.TransmittedWave, "densities", flat_top)
+        monkeypatch.setattr(wavepacket.TransmittedWave, "slope", lambda self, tau: 1.0)
         cfg = PeakSearchConfig(coarse_points=32)
         row = compute_row(100.0, 1.5, Spectrum(), cfg, QuadratureSettings())
-        assert row.note == "unrefined: coarse scan not unimodal at the argmax"
+        assert row.note == "unrefined: density slope does not fall from + to - across the argmax"
         assert row.refine_iters == 0
 
     def test_fig2_contains_divergent_first_point(self):
@@ -250,7 +242,8 @@ def test_committed_results_match_a_fresh_run(tmp_path, experiment):
 
 def test_reproduce_script_regenerates_the_committed_files(tmp_path):
     # the regeneration step itself, from an uninstalled checkout: the
-    # script writes all five files under results/ in its working directory
+    # script writes all seven files under results/ in its working directory,
+    # the single point's trace among them (the blocked coarse scan, bytes)
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce.py")],
         cwd=tmp_path,
@@ -260,7 +253,9 @@ def test_reproduce_script_regenerates_the_committed_files(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    for name in ("table1.csv", "fig1.csv", "fig1.csv.gnuplot", "fig2.csv", "fig2.csv.gnuplot"):
+    names = ("table1.csv", "fig1.csv", "fig1.csv.gnuplot", "fig2.csv", "fig2.csv.gnuplot",
+             "single.csv", "single_trace.csv")
+    for name in names:
         assert (tmp_path / "results" / name).read_bytes() == (RESULTS / name).read_bytes()
 
 

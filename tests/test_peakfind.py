@@ -50,7 +50,6 @@ def test_peak_against_trapezoid_oracle(w, lam):
     params = DimensionlessParams(W=w, lam=lam)
     result = peak_arrival(SPEC, params)
     assert not result.window_hit and result.refined
-    assert result.density_peak > 0.0
     half_tol = PeakSearchConfig().refine_tol / 2
     assert result.tau_peak == pytest.approx(ORACLE_PEAKS[(w, lam)], abs=half_tol)
 
@@ -84,7 +83,8 @@ def test_peak_scaling_invariance():
     base = peak_arrival(SPEC, params)
     scaled = peak_arrival(Spectrum(norm=3.0), params)
     assert scaled.tau_peak == base.tau_peak  # argmax untouched by positive scaling
-    assert scaled.density_peak == pytest.approx(9.0 * base.density_peak, rel=1e-9, abs=0.0)
+    density = abs(scaled.wave(scaled.tau_peak)) ** 2
+    assert density == pytest.approx(9.0 * abs(base.wave(base.tau_peak)) ** 2, rel=1e-9, abs=0.0)
     # the support cut is computed at norm = 1, so the node set is the same
     assert scaled.wave.kappa_cut == base.wave.kappa_cut > 0.0
 
@@ -111,9 +111,30 @@ def test_window_hit_flagged_not_raised():
     assert result.tau_peak <= 40.0 + (80.0 - 40.0) / 31 * 1.5
 
 
-def test_non_unimodal_scan_returned_unrefined(monkeypatch):
-    # a flat top (tie at the argmax) is not a bracket: no refinement, and
-    # the result says so instead of passing as a refined peak
+def test_window_filled_from_the_tau_new_passed_in(monkeypatch):
+    # a caller that has tau_new hands it over: the unset bounds come from
+    # default_window(tau_new), and the moments are not computed again
+    params = DimensionlessParams(W=1.0, lam=100.0)
+    tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+    lo, hi = default_window(tau_new)
+    fixed = PeakSearchConfig(tau_min=lo, tau_max=hi, coarse_points=32)
+    expected = peak_arrival(SPEC, params, fixed)
+
+    def no_moments(*args):
+        raise AssertionError("moments computed although tau_new was passed")
+
+    monkeypatch.setattr(phasetime, "moments_closed_form", no_moments)
+    result = peak_arrival(SPEC, params, PeakSearchConfig(coarse_points=32), None, tau_new)
+    assert result.taus == expected.taus
+
+
+def test_flat_top_with_a_falling_slope_is_refined(monkeypatch):
+    # a tie at the argmax still brackets a maximum when the slope falls
+    # from + to - across it: bisection runs, on the same bracket as without
+    # the tie (np.argmax takes the first maximum), to the same peak
+    params = DimensionlessParams(W=1.0, lam=100.0)
+    cfg = PeakSearchConfig(coarse_points=64)
+    untied = peak_arrival(SPEC, params, cfg)
     real_densities = wavepacket.TransmittedWave.densities
 
     def flat_top(self, *args):
@@ -123,14 +144,12 @@ def test_non_unimodal_scan_returned_unrefined(monkeypatch):
         return dens
 
     monkeypatch.setattr(wavepacket.TransmittedWave, "densities", flat_top)
-    params = DimensionlessParams(W=1.0, lam=100.0)
-    cfg = PeakSearchConfig(coarse_points=64)
     result = peak_arrival(SPEC, params, cfg)
     i = int(np.argmax(result.densities))
     assert result.densities[i + 1] == result.densities[i]
-    assert not result.window_hit and not result.refined
-    assert result.refine_iters == 0
-    assert result.tau_peak == result.taus[i]
+    assert not result.window_hit and result.refined
+    assert result.refine_iters > 0
+    assert result.tau_peak == untied.tau_peak
 
 
 def test_no_slope_sign_change_returned_unrefined(monkeypatch):
@@ -287,7 +306,6 @@ def test_engine_against_mpmath_reference(w, lam):
     at_far_end = _exit_amplitude_mp(params, far_end)
     assert abs(wave(peak.tau_peak) - at_peak) <= 1e-9 * abs(at_peak)
     assert abs(wave(far_end) - at_far_end) <= 1e-9 * abs(at_peak)
-    assert peak.density_peak == pytest.approx(abs(at_peak) ** 2, rel=2e-9)
     at_exit = transmitted_integral(SPEC, params, peak.tau_peak)(peak.tau_peak)
     assert abs(at_exit - at_peak) <= 1e-9 * abs(at_peak)
 
