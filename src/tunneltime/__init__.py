@@ -5,6 +5,7 @@ a moment-based phase-time formula, and a full spectral wave-packet
 simulation with peak-arrival detection.
 """
 
+import importlib
 import os
 import sys
 
@@ -14,74 +15,65 @@ import sys
 # and the thread pool OpenBLAS starts when numpy loads only spins.  Ask
 # for a single-threaded OpenBLAS unless the user chose a count, or numpy
 # is already loaded and the setting could no longer take effect (it would
-# only leak into that program's subprocesses).
+# only leak into that program's subprocesses).  Every submodule import
+# runs this first; numpy itself loads only with the numeric modules.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .peakfind import PeakResult, PeakSearchConfig, peak_arrival
-from .phasetime import (
-    MomentTable,
-    expansion_coefficients,
-    model_density,
-    model_density_argmax,
-    moments_closed_form,
-    moments_quadrature,
-    phase_time_moments,
-    phase_time_spm,
-    s_coefficients,
-    transit_velocity,
-)
-from .quadrature import QuadratureError, QuadratureResult, QuadratureSettings, integrate_adaptive
-from .spectrum import Spectrum, evaluate, mean_k_opaque, transmitted_mean_k
-from .transmission import (
-    amplitude_opaque,
-    modulus_phase,
-    stationary_time_full,
-)
-from .units import (
-    DimensionlessParams,
-    PhysicalParams,
-    UnitScales,
-    denormalize,
-    electron_barrier,
-    normalize,
-    unit_scales,
-)
-from .wavepacket import transmitted_integral
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "DimensionlessParams",
-    "MomentTable",
-    "PeakResult",
-    "PeakSearchConfig",
-    "PhysicalParams",
-    "QuadratureError",
-    "QuadratureResult",
-    "QuadratureSettings",
-    "Spectrum",
-    "UnitScales",
-    "amplitude_opaque",
-    "denormalize",
-    "electron_barrier",
-    "evaluate",
-    "expansion_coefficients",
-    "integrate_adaptive",
-    "mean_k_opaque",
-    "model_density",
-    "model_density_argmax",
-    "modulus_phase",
-    "moments_closed_form",
-    "moments_quadrature",
-    "normalize",
-    "peak_arrival",
-    "phase_time_moments",
-    "phase_time_spm",
-    "s_coefficients",
-    "stationary_time_full",
-    "transit_velocity",
-    "transmitted_integral",
-    "transmitted_mean_k",
-    "unit_scales",
-]
+# Public name -> home submodule.  None is imported here, so that the front
+# end (cli, experiments, units) runs without numpy: each name loads its
+# submodule on first access (PEP 562), as does each submodule name itself
+# (`tunneltime.peakfind`).
+_HOMES = {
+    "PeakResult": "peakfind",
+    "peak_arrival": "peakfind",
+    "MomentTable": "phasetime",
+    "expansion_coefficients": "phasetime",
+    "model_density": "phasetime",
+    "model_density_argmax": "phasetime",
+    "moments_closed_form": "phasetime",
+    "moments_quadrature": "phasetime",
+    "phase_time_moments": "phasetime",
+    "phase_time_spm": "phasetime",
+    "s_coefficients": "phasetime",
+    "transit_velocity": "phasetime",
+    "QuadratureError": "quadrature",
+    "QuadratureResult": "quadrature",
+    "integrate_adaptive": "quadrature",
+    "evaluate": "spectrum",
+    "mean_k_opaque": "spectrum",
+    "transmitted_mean_k": "spectrum",
+    "amplitude_opaque": "transmission",
+    "modulus_phase": "transmission",
+    "stationary_time_full": "transmission",
+    "DimensionlessParams": "units",
+    "PeakSearchConfig": "units",
+    "PhysicalParams": "units",
+    "QuadratureSettings": "units",
+    "Spectrum": "units",
+    "UnitScales": "units",
+    "denormalize": "units",
+    "electron_barrier": "units",
+    "normalize": "units",
+    "unit_scales": "units",
+    "transmitted_integral": "wavepacket",
+}
+
+_SUBMODULES = frozenset(_HOMES.values())
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # binds the submodule on the package, so this runs once per name
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOMES:
+        return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

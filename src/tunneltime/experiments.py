@@ -12,10 +12,12 @@ files ('#' comments, comma-separated lists, each key set at most once);
 optional: an unset key keeps that field's default (the reference
 configuration; the spectrum's sits on `Spectrum`) or, for the grids, the
 experiment's `_GRIDS` entry.  CLI flags are the same keys.  Each value is
-range-checked by the type that owns it.  Output is deterministic CSV laid
-out by `_COLUMNS`: unit-annotated header, 10 significant digits, empty
-cells for undefined entries (never 0), one note column for divergences and
-per-row failures.  Assembly stays in grid order so identical configs give
+range-checked by the type that owns it; those types live in `units`, so a
+config is built and checked without numpy, which loads with the first
+grid point (`compute_row`).  Output is deterministic CSV laid out by
+`_COLUMNS`: unit-annotated header, 10 significant digits, empty cells for
+undefined entries (never 0), one note column for divergences and per-row
+failures.  Assembly stays in grid order so identical configs give
 byte-identical files.
 """
 
@@ -29,11 +31,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from . import peakfind, phasetime
-from .peakfind import PeakSearchConfig
-from .quadrature import QuadratureError, QuadratureSettings
-from .spectrum import Spectrum
-from .units import DimensionlessParams
+from .units import DimensionlessParams, PeakSearchConfig, QuadratureSettings, Spectrum
 
 #: Environment variable overriding the worker-count default.
 WORKERS_ENV = "TUNNELTIME_WORKERS"
@@ -266,7 +264,11 @@ def compute_row(
     With trace set, the row also carries the coarse scan of its peak search
     as (tau, density) pairs; a failed row carries none.
     """
+    # the numeric stack loads with the first point, not with the config;
     # called through their modules, where perfbench/layers.py wraps them
+    from . import peakfind, phasetime
+    from .quadrature import QuadratureError
+
     try:
         params = DimensionlessParams(W=w, lam=lam)
         tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
@@ -305,6 +307,8 @@ def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[
 
     Raises ValueError where the peak search does (a density 0 everywhere).
     """
+    from . import peakfind
+
     params = DimensionlessParams(W=w, lam=lam)
     return peakfind.peak_arrival(config.spectrum, params, config.peak, config.quadrature).trace()
 

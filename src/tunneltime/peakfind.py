@@ -21,36 +21,12 @@ an error naming tau_new.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import phasetime, wavepacket
-from .quadrature import QuadratureSettings
-from .spectrum import Spectrum
-from .units import DimensionlessParams
-
-@dataclass(frozen=True)
-class PeakSearchConfig:
-    """Search window and refinement knobs; an unset bound is automatic."""
-
-    tau_min: float | None = None
-    tau_max: float | None = None
-    coarse_points: int = 256
-    refine_tol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.coarse_points < 16:
-            raise ValueError("coarse_points must be >= 16")
-        if not 0.0 < self.refine_tol < math.inf:
-            raise ValueError("refine_tol must be positive and finite")
-        for bound in (self.tau_min, self.tau_max):
-            if bound is not None and not math.isfinite(bound):
-                raise ValueError(f"tau_min and tau_max must be finite, got {bound}")
-        if self.tau_min is not None and self.tau_max is not None:
-            if not self.tau_min < self.tau_max:
-                raise ValueError("tau_min must be < tau_max")
+from .units import DimensionlessParams, PeakSearchConfig, QuadratureSettings, Spectrum
 
 
 @dataclass(frozen=True)

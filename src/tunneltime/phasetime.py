@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, integrate_adaptive
-from .units import DimensionlessParams
+from .quadrature import integrate_adaptive
+from .units import DimensionlessParams, QuadratureSettings
 
 _FACT = [math.factorial(n + 2) for n in range(5)]
 

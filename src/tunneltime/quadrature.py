@@ -12,11 +12,12 @@ accepted composite rule and the integrand's values on its nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .units import QuadratureSettings
 
 # Evaluation chunk cap: panels * nodes above this are processed in blocks.
 _CHUNK = 1 << 21
@@ -24,23 +25,6 @@ _CHUNK = 1 << 21
 
 class QuadratureError(RuntimeError):
     """Raised when the adaptive refinement cannot reach the tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Adaptive quadrature knobs shared by the spectral integrals."""
-
-    nodes_per_panel: int = 32
-    max_panels: int = 4096
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_panel < 8:
-            raise ValueError("nodes_per_panel must be >= 8")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be positive and finite")
 
 
 @lru_cache(maxsize=8)

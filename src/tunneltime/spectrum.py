@@ -12,40 +12,11 @@ mean of kappa; in the opaque limit it collapses onto the cutoff as
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import transmission
-from .quadrature import QuadratureSettings, integrate_adaptive
-from .units import DimensionlessParams
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Truncated Gaussian weighting: center kappa0, localization delta = k_M d.
-
-    The support ends at the cutoff kappa = 1 (k = k_M) so that every
-    component tunnels; norm only rescales (all reported quantities are
-    ratios or argmaxes, invariant under it).
-    """
-
-    kappa0: float = 0.5
-    delta: float = 10.0
-    norm: float = 1.0
-
-    #: upper support limit in kappa = k/k_M; the pure-tunneling restriction
-    cutoff = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.kappa0 < 1.0:
-            raise ValueError(f"kappa0 must lie in (0, 1), got {self.kappa0}")
-        # g squares delta; past sqrt(max double) ~ 1.34e154 that overflows
-        if not (0.0 < self.delta and math.isfinite(self.delta * self.delta)):
-            raise ValueError(f"delta must be positive with a finite square, got {self.delta}")
-        if not 0.0 <= self.norm < math.inf:
-            raise ValueError(f"norm must be non-negative and finite, got {self.norm}")
+from .quadrature import integrate_adaptive
+from .units import DimensionlessParams, QuadratureSettings, Spectrum
 
 
 def evaluate(spec: Spectrum, kappa):

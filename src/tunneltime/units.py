@@ -10,6 +10,12 @@ Conventions (k_M = sqrt(2 m E_M)/hbar is the spectrum cutoff):
 * wavenumbers ``kappa = k / k_M`` in (0, 1]
 * evanescent ratio ``a = q_M / k_M = sqrt(W**2 - 1)``
 * times ``tau = E_M t / hbar``
+
+The validated inputs of a run live here too: the packet's `Spectrum`, the
+`QuadratureSettings` and the `PeakSearchConfig`.  Like the parameters,
+each checks its own ranges on construction.  None of them needs numpy, so
+a config is built and checked before the numeric modules load; those
+modules import these types from here.
 """
 
 from __future__ import annotations
@@ -75,6 +81,71 @@ class DimensionlessParams:
     def a(self) -> float:
         """Evanescent ratio a = q_M/k_M = sqrt(W**2 - 1); zero iff E_M = V0."""
         return math.sqrt(max(self.W * self.W - 1.0, 0.0))
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Truncated Gaussian weighting: center kappa0, localization delta = k_M d.
+
+    The support ends at the cutoff kappa = 1 (k = k_M) so that every
+    component tunnels; norm only rescales (all reported quantities are
+    ratios or argmaxes, invariant under it).
+    """
+
+    kappa0: float = 0.5
+    delta: float = 10.0
+    norm: float = 1.0
+
+    #: upper support limit in kappa = k/k_M; the pure-tunneling restriction
+    cutoff = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.kappa0 < 1.0:
+            raise ValueError(f"kappa0 must lie in (0, 1), got {self.kappa0}")
+        # g squares delta; past sqrt(max double) ~ 1.34e154 that overflows
+        if not (0.0 < self.delta and math.isfinite(self.delta * self.delta)):
+            raise ValueError(f"delta must be positive with a finite square, got {self.delta}")
+        if not 0.0 <= self.norm < math.inf:
+            raise ValueError(f"norm must be non-negative and finite, got {self.norm}")
+
+
+@dataclass(frozen=True)
+class QuadratureSettings:
+    """Adaptive quadrature knobs shared by the spectral integrals."""
+
+    nodes_per_panel: int = 32
+    max_panels: int = 4096
+    rel_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.nodes_per_panel < 8:
+            raise ValueError("nodes_per_panel must be >= 8")
+        if self.max_panels < 1:
+            raise ValueError("max_panels must be >= 1")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
+
+
+@dataclass(frozen=True)
+class PeakSearchConfig:
+    """Search window and refinement knobs; an unset bound is automatic."""
+
+    tau_min: float | None = None
+    tau_max: float | None = None
+    coarse_points: int = 256
+    refine_tol: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if self.coarse_points < 16:
+            raise ValueError("coarse_points must be >= 16")
+        if not 0.0 < self.refine_tol < math.inf:
+            raise ValueError("refine_tol must be positive and finite")
+        for bound in (self.tau_min, self.tau_max):
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError(f"tau_min and tau_max must be finite, got {bound}")
+        if self.tau_min is not None and self.tau_max is not None:
+            if not self.tau_min < self.tau_max:
+                raise ValueError("tau_min must be < tau_max")
 
 
 @dataclass(frozen=True)

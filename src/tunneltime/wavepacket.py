@@ -54,9 +54,8 @@ import numpy as np
 
 from . import spectrum as _spectrum
 from . import transmission
-from .quadrature import QuadratureSettings, integrate_adaptive
-from .spectrum import Spectrum
-from .units import DimensionlessParams
+from .quadrature import integrate_adaptive
+from .units import DimensionlessParams, QuadratureSettings, Spectrum
 
 
 # Coarse-scan samples per matrix-vector product (see `TransmittedWave.densities`).

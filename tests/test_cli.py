@@ -247,8 +247,31 @@ def test_unwritable_output_is_reported_not_raised(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor numpy: importing the CLI, building a config, rejecting a bad one
+    # and printing --help all finish before the numeric modules load
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, tunneltime.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "steps = {}\n"
+        "import tunneltime.cli\n"
+        "from tunneltime import cli, experiments  # bound by the import above\n"
+        "steps['import'] = loaded()\n"
+        "experiments.build_config('table1', {}, {})\n"
+        "steps['build_config'] = loaded()\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    steps['exit_code'] = cli.main(['table1', '--kappa0', '1.5'])\n"
+        "steps['invalid'] = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as help_text:\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        steps['help_exit'] = exc.code\n"
+        "steps['help'] = loaded()\n"
+        "steps['help_text'] = help_text.getvalue().startswith('usage: tunneltime')\n"
+        "print(json.dumps(steps))\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -256,7 +279,16 @@ def test_cli_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    steps = json.loads(done.stdout)
+    assert steps == {
+        "import": [],
+        "build_config": [],
+        "exit_code": 1,
+        "invalid": [],
+        "help_exit": 0,
+        "help": [],
+        "help_text": True,
+    }
 
 
 def test_cli_run_loads_no_numpy_polynomial_and_stays_single_threaded(tmp_path):

@@ -1,4 +1,9 @@
-"""The process-wide settings `import tunneltime` makes before numpy loads."""
+"""The process-wide settings `import tunneltime` makes before numpy loads.
+
+A bare `import tunneltime` does not load numpy, so these checks import a
+numeric submodule (`tunneltime.peakfind`), which loads numpy and OpenBLAS
+through the package.
+"""
 
 import json
 import os
@@ -34,7 +39,7 @@ def _run(imports: str, **env: str) -> tuple[str | None, int | None]:
 
 
 def test_import_runs_a_single_threaded_blas():
-    value, threads = _run("import tunneltime")
+    value, threads = _run("import tunneltime.peakfind")
     assert value == "1"
     if threads is None:
         pytest.skip("no per-process task list on this platform")
@@ -42,7 +47,7 @@ def test_import_runs_a_single_threaded_blas():
 
 
 def test_user_thread_count_wins():
-    value, _ = _run("import tunneltime", OPENBLAS_NUM_THREADS="2")
+    value, _ = _run("import tunneltime.peakfind", OPENBLAS_NUM_THREADS="2")
     assert value == "2"
 
 
