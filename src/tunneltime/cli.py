@@ -1,10 +1,10 @@
 """Command-line front end for the experiment pipelines.
 
-Subcommands: table1, fig1, fig2, single.  Each accepts --config <path>
-plus individual override flags; all values default to the reference
-configuration.  Exit codes: 0 success, 1 invalid config or an output
-file that cannot be written, 2 numerical failure, 3 partial success (some
-sweep points failed, noted in the CSV).
+One parser: the experiment (table1, fig1, fig2, single), --config <path>
+and override flags whose dests are config keys; all values default to the
+reference configuration.  Exit codes: 0 success, 1 invalid config or an
+output file that cannot be written, 2 numerical failure, 3 partial
+success (some sweep points failed, noted in the CSV).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -37,36 +38,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag has a type: each value is parsed once, by its _KEYS entry
     parser = _Parser(
         prog="tunneltime",
         description="Tunneling phase times for wave packets crossing a rectangular barrier.",
+        epilog=(
+            "experiments:\n"
+            "  table1  peak times and transit velocities over a barrier-width grid\n"
+            "  fig1    transit velocity vs width for several V0/E_M ratios\n"
+            "  fig2    spm/new/numeric phase times vs sqrt(V0/E_M) at fixed width\n"
+            "  single  one (lambda, W) point, optionally with a density trace"
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in (
-        ("table1", "peak times and transit velocities over a barrier-width grid"),
-        ("fig1", "transit velocity vs width for several V0/E_M ratios"),
-        ("fig2", "spm/new/numeric phase times vs sqrt(V0/E_M) at fixed width"),
-        ("single", "one (lambda, W) point, optionally with a density trace"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=Path, help="flat key = value config file")
-        p.add_argument("--lambda", help="comma-separated k_M*L grid")
-        p.add_argument("--w-ratio", help="comma-separated sqrt(V0/E_M) grid")
-        p.add_argument("--kappa0", type=float, help="spectrum center k0/k_M")
-        p.add_argument("--delta", type=float, help="spectrum localization k_M*d")
-        p.add_argument("--out", type=Path, help="output CSV path")
-        p.add_argument(
-            "--trace",
-            action="store_true",
-            default=None,
-            help="also write the exit-density time series (single)",
-        )
-        p.add_argument(
-            "--plot-script",
-            action="store_true",
-            default=None,
-            help="emit a companion gnuplot script next to the CSV",
-        )
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="one of the experiments below")
+    parser.add_argument("--config", help="flat key = value config file")
+    parser.add_argument("--lambda", help="comma-separated k_M*L grid")
+    parser.add_argument("--w-ratio", help="comma-separated sqrt(V0/E_M) grid")
+    parser.add_argument("--kappa0", help="spectrum center k0/k_M")
+    parser.add_argument("--delta", help="spectrum localization k_M*d")
+    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--trace", action="store_true", default=None,
+                        help="also write the exit-density time series (single)")
+    parser.add_argument("--plot-script", action="store_true", default=None,
+                        help="emit a companion gnuplot script next to the CSV")
     return parser
 
 
@@ -111,6 +106,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARTIAL
     return EXIT_OK
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

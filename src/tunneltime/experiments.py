@@ -2,8 +2,8 @@
 
 Every experiment runs the same pipeline: the W-major product of its lambda
 and w_ratio grids, one `compute_row` per point (the only function that
-turns a point into its phase times), in one process unless `workers` or
-TUNNELTIME_WORKERS asks for a process pool;
+turns a point into its phase times), in one process unless `workers`
+asks for a process pool (no larger than the grid or the CPU count);
 `single` is the one-point grid and the only experiment that may also
 return the exit-density trace of its row.  The experiments differ only in
 their default grids (`_GRIDS`).  Configs are flat ``key = value`` text
@@ -11,7 +11,8 @@ files ('#' comments, comma-separated lists, each key set at most once);
 `_KEYS` maps each key to the dataclass field it sets, and every key is
 optional: an unset key keeps that field's default (the reference
 configuration; the spectrum's sits on `Spectrum`) or, for the grids, the
-experiment's `_GRIDS` entry.  CLI flags are the same keys.  Each value is
+experiment's `_GRIDS` entry.  CLI flags are the same keys, and each value,
+from a file or a flag, is parsed once, by its `_KEYS` entry and
 range-checked by the type that owns it; those types live in `units`, so a
 config is built and checked without numpy, which loads with the first
 grid point (`compute_row`).  Output is deterministic CSV laid out by
@@ -32,9 +33,6 @@ from itertools import repeat
 from pathlib import Path
 
 from .units import DimensionlessParams, PeakSearchConfig, QuadratureSettings, Spectrum
-
-#: Environment variable overriding the worker-count default.
-WORKERS_ENV = "TUNNELTIME_WORKERS"
 
 _FIG2_POINTS = 21
 _FIG2_STEP = 1.0 / (_FIG2_POINTS - 1)
@@ -106,7 +104,7 @@ class ExperimentConfig:
     out: Path | None = None
     trace: bool = False
     plot_script: bool = False
-    workers: int = 0  # 0 -> WORKERS_ENV (unset -> 1, 0 -> available parallelism)
+    workers: int = 1  # process count; above 1 the grid runs in a process pool
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -125,10 +123,8 @@ class ExperimentConfig:
             raise ConfigError("single takes one w_ratio value")
         if self.trace and self.experiment != "single":
             raise ConfigError("trace is written only by single")
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers}")
-        if self.workers == 0:
-            _env_workers()  # a bad environment value is a config error too
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -231,18 +227,6 @@ def build_config(
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _env_workers() -> int:
-    """Worker count from WORKERS_ENV; unset -> 1, 0 -> the available parallelism."""
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    try:
-        workers = int(env or 1)
-        if workers < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 0, got {env!r}") from None
-    return workers or os.cpu_count() or 1
 
 
 def compute_row(
@@ -380,7 +364,7 @@ def run_experiment(config: ExperimentConfig):
     lams, ws = zip(*((lam, w) for w in config.w_ratios for lam in config.lambdas))
     args = (lams, ws, repeat(config.spectrum), repeat(config.peak),
             repeat(config.quadrature), repeat(config.trace))
-    workers = min(config.workers or _env_workers(), len(lams))
+    workers = min(config.workers, len(lams), os.cpu_count() or 1)
     if workers == 1:
         rows = list(map(compute_row, *args))
     else:

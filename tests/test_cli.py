@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tunneltime.cli import main
-from tunneltime.experiments import read_rows
+from tunneltime.cli import build_parser, main
+from tunneltime.experiments import _KEYS, read_rows
 
 
 def test_single_success_and_output(tmp_path, capsys):
@@ -219,24 +220,40 @@ def test_single_trace_matches_the_reference_trace(tmp_path):
         assert abs(float(d) - float(d_ref)) <= 1e-9 * peak
 
 
-def test_bad_worker_count_in_environment_is_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TUNNELTIME_WORKERS", "abc")
-    out = tmp_path / "rejected.csv"
-    assert main(["table1", "--lambda", "30", "--out", str(out)]) == 1
-    assert "invalid config: TUNNELTIME_WORKERS" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_negative_worker_count_is_rejected_from_either_source(tmp_path, capsys, monkeypatch):
+def test_negative_worker_count_is_rejected_from_either_source(tmp_path, capsys):
+    # the config key is the only source of the worker count; it is a
+    # process count, so 0 is rejected like a negative one
     cfg = tmp_path / "workers.cfg"
-    cfg.write_text("workers = -2\n")
     out = tmp_path / "rejected.csv"
-    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "invalid config: workers must be >= 0, got -2" in capsys.readouterr().err
-    monkeypatch.setenv("TUNNELTIME_WORKERS", "-1")
-    assert main(["single", "--out", str(out)]) == 1
-    assert "invalid config: TUNNELTIME_WORKERS must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    for workers in (0, -2):
+        cfg.write_text(f"workers = {workers}\n")
+        assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"invalid config: workers must be >= 1, got {workers}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_flag_value_reports_the_config_table_message(tmp_path, capsys):
+    # a flag value is parsed by its config key's entry, as a file line is
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kappa0 = abc\n")
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--kappa0", "abc", "--out", str(out)]) == 1
+    from_flag = capsys.readouterr().err
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+    from_file = capsys.readouterr().err
+    assert from_flag == from_file
+    assert from_flag.startswith("tunneltime: invalid config: bad value for 'kappa0': 'abc'")
+    assert not out.exists()
+
+
+def test_every_flag_is_one_untyped_config_key():
+    # one parser, no subcommands; each flag but --config sets the config
+    # key it names and leaves the parsing to that key
+    actions = build_parser()._actions
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in actions)
+    flags = [a for a in actions if a.option_strings and a.dest != "help"]
+    assert [a.dest for a in flags if a.dest not in _KEYS] == ["config"]
+    assert [a.dest for a in flags if a.type is not None] == []
 
 
 def test_unwritable_output_is_reported_not_raised(tmp_path, capsys):

@@ -298,10 +298,8 @@ class TestSweeps:
         parallel, _ = run_experiment(build_config("table1", dict(values, workers="2")))
         assert [r.tau_num for r in serial] == [r.tau_num for r in parallel]
 
-    @pytest.mark.parametrize("env", [None, "0"])
-    def test_zero_workers_means_available_parallelism(self, monkeypatch, env):
-        # workers = 0 defers to TUNNELTIME_WORKERS: unset there -> one
-        # process and no pool, 0 -> cpu_count
+    def test_pool_is_capped_at_the_available_cpus(self, monkeypatch):
+        # 8 workers on a 3-point grid and 2 CPUs start a pool of 2
         sizes = []
 
         class SerialPool:
@@ -319,12 +317,8 @@ class TestSweeps:
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        if env is None:
-            monkeypatch.delenv("TUNNELTIME_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("TUNNELTIME_WORKERS", env)
-        rows, _ = run_experiment(small_config("table1", **{"lambda": "30, 40, 50", "workers": "0"}))
-        assert sizes == ([] if env is None else [2]) and [r.lam for r in rows] == [30.0, 40.0, 50.0]
+        rows, _ = run_experiment(small_config("table1", **{"lambda": "30, 40, 50", "workers": "8"}))
+        assert sizes == [2] and [r.lam for r in rows] == [30.0, 40.0, 50.0]
 
     def test_default_run_imports_no_process_pool(self):
         # a serial run leaves the pool module unloaded; the pool class still
@@ -336,10 +330,9 @@ class TestSweeps:
             "print('concurrent.futures.process' in sys.modules); "
             "print(experiments.ProcessPoolExecutor.__module__)"
         )
-        env = {k: v for k, v in os.environ.items() if k != experiments.WORKERS_ENV}
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env={**env, "PYTHONPATH": str(ROOT / "src")},
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             capture_output=True,
             text=True,
             check=True,
@@ -399,7 +392,7 @@ class TestSweeps:
     def test_fig1_matched_energy_series_flattens(self):
         # v(lam) increments shrink: oracle gives v(100) - v(200) = 0.0505
         # (the velocity is settling toward its asymptotic constant)
-        values = {"lambda": "50, 100, 200", "w_ratio": "1.0", "workers": "0"}
+        values = {"lambda": "50, 100, 200", "w_ratio": "1.0", "workers": "1"}
         rows = run_experiment(build_config("fig1", values))[0]
         v = {r.lam: r.v_transit for r in rows}
         assert all(val > 0.0 for val in v.values())
