@@ -298,8 +298,16 @@ class TestSweeps:
         parallel, _ = run_experiment(build_config("table1", dict(values, workers="2")))
         assert [r.tau_num for r in serial] == [r.tau_num for r in parallel]
 
-    def test_pool_is_capped_at_the_available_cpus(self, monkeypatch):
-        # 8 workers on a 3-point grid and 2 CPUs start a pool of 2
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [("1", 2, []), ("8", 2, [2]), ("8", 16, [3])],
+        ids=["one-worker", "cpu-bound", "point-bound"],
+    )
+    def test_pool_size_is_the_least_of_workers_points_and_cpus(
+        self, monkeypatch, workers, cpus, expected
+    ):
+        # on a 3-point grid: one worker starts no pool, 8 workers on 2 CPUs a
+        # pool of 2, and 8 workers on 16 CPUs a pool of 3
         sizes = []
 
         class SerialPool:
@@ -316,9 +324,10 @@ class TestSweeps:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        rows, _ = run_experiment(small_config("table1", **{"lambda": "30, 40, 50", "workers": "8"}))
-        assert sizes == [2] and [r.lam for r in rows] == [30.0, 40.0, 50.0]
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = small_config("table1", **{"lambda": "30, 40, 50", "workers": workers})
+        rows, _ = run_experiment(config)
+        assert sizes == expected and [r.lam for r in rows] == [30.0, 40.0, 50.0]
 
     def test_default_run_imports_no_process_pool(self):
         # a serial run leaves the pool module unloaded; the pool class still
