@@ -87,9 +87,9 @@ def peak_arrival(
 
     The window (`search_window`, given tau_new when the caller has it) is
     scanned at config.coarse_points evenly spaced taus.  window_hit is set
-    (and refinement skipped) when the coarse argmax lies within one grid
-    step of a window boundary; the caller must widen.  Otherwise the
-    bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is bisected on
+    (and refinement skipped) when the coarse argmax is the first or last
+    sample, with no bracket in the window; the caller must widen.  Otherwise
+    the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is bisected on
     the sign of `TransmittedWave.slope` down to refine_tol, or to two
     adjacent doubles, and its midpoint is within max(refine_tol / 2, their
     gap) of a stationary point of the density, a maximum: the sign change
@@ -109,7 +109,7 @@ def peak_arrival(
         raise ValueError(f"exit density is 0 at every coarse sample in [{tau_lo:.6g}, "
                          f"{tau_hi:.6g}]: the spectrum norm is 0 or the density underflows")
     i_best = int(np.argmax(dens))
-    window_hit = i_best <= 1 or i_best >= n - 2
+    window_hit = i_best == 0 or i_best == n - 1
     refined = not window_hit and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
     tau_peak, iters = taus[i_best], 0
     if refined:

@@ -80,7 +80,8 @@ class DimensionlessParams:
     @property
     def a(self) -> float:
         """Evanescent ratio a = q_M/k_M = sqrt(W**2 - 1); zero iff E_M = V0."""
-        return math.sqrt(max(self.W * self.W - 1.0, 0.0))
+        # W**2 - 1 cancels near W = 1; (W - 1)(W + 1) does not
+        return math.sqrt((self.W - 1.0) * (self.W + 1.0))
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,18 @@ class TestRows:
         assert row.note.startswith("window_hit")
         assert row.note.endswith("; tau_spm diverges (E_M = V0)")  # both notes kept
 
+    def test_coarse_grid_hits_the_window_only_at_its_ends(self):
+        # an argmax one sample inside the window still has its bracket
+        # [tau_{i-1}, tau_{i+1}] in it: fig2 on 16 points flags no row and
+        # refines each to the same stationary point as the committed run
+        # (same window, so the same node set), within refine_tol
+        config = build_config("fig2", {"coarse_points": "16"})
+        rows, _ = run_experiment(config)
+        committed = read_rows(RESULTS / "fig2.csv")
+        assert not [row for row in rows if row.note.startswith("window_hit")]
+        for row, ref in zip(rows, committed, strict=True):
+            assert abs(row.tau_num - ref.tau_num) <= config.peak.refine_tol
+
     def test_unrefined_peak_noted(self, monkeypatch):
         monkeypatch.setattr(wavepacket.TransmittedWave, "slope", lambda self, tau: 1.0)
         cfg = PeakSearchConfig(coarse_points=32)

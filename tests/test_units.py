@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as const
@@ -38,6 +39,16 @@ def test_evanescent_ratio_at_double_height():
     dp = normalize(phys)
     assert dp.a == pytest.approx(1.0, rel=1e-12)          # a = sqrt(W^2 - 1), W = sqrt(2)
     assert dp.W == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("excess", [1e-9, 1e-8, 2e-8])
+def test_evanescent_ratio_keeps_its_digits_near_the_matched_height(excess):
+    # W^2 - 1 cancels near W = 1 (2.5e-9 relative off at 1 + 1e-8);
+    # (W - 1)(W + 1) does not
+    w = 1.0 + excess
+    with mp.workdps(40):
+        exact = float(mp.sqrt(mp.mpf(w) ** 2 - 1))
+    assert abs(DimensionlessParams(W=w, lam=1.0).a - exact) <= 4e-16 * exact
 
 
 def test_normalize_rejects_above_barrier_and_bad_inputs():
