@@ -181,7 +181,6 @@ _KEYS = {
     "tau_min": (PeakSearchConfig, "tau_min", _as_opt_float),
     "tau_max": (PeakSearchConfig, "tau_max", _as_opt_float),
     "coarse_points": (PeakSearchConfig, "coarse_points", int),
-    "refine_tol": (PeakSearchConfig, "refine_tol", float),
     "out": (ExperimentConfig, "out", Path),
     "trace": (ExperimentConfig, "trace", _as_bool),
     "plot_script": (ExperimentConfig, "plot_script", _as_bool),

@@ -2,9 +2,9 @@
 
 The numerical phase time is the time at which |Phi_T(L, t)|^2 is maximal:
 a coarse scan over a bracketing window, then bisection of the bracket
-around the coarse argmax on the sign of d|Phi_T|^2/dtau (near the flat
-maximum density values differ by less than their rounding; the slope's
-sign does not).  Both run on one node set per configuration
+around the coarse argmax on the sign of d|Phi_T|^2/dtau to two adjacent
+doubles (near the flat maximum density values differ by less than their
+rounding; the slope's sign does not).  Both run on one node set per configuration
 (`wavepacket.transmitted_integral`), built once for the whole window, so
 the density is a smooth function of tau with no panel-set noise; the
 engine's `densities` gives the coarse scan and its `slope` the sign.  Both
@@ -90,12 +90,12 @@ def peak_arrival(
     (and refinement skipped) when the coarse argmax is the first or last
     sample, with no bracket in the window; the caller must widen.  Otherwise
     the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is bisected on
-    the sign of `TransmittedWave.slope` down to refine_tol, or to two
-    adjacent doubles, and its midpoint is within max(refine_tol / 2, their
-    gap) of a stationary point of the density, a maximum: the sign change
-    from + to - is kept at every step.  refined is False when bisection did
-    not run: on a window hit, or when the slope does not fall from + to -
-    across the bracket (the grid argmax is returned).
+    the sign of `TransmittedWave.slope` (refine_iters steps, the same at any
+    spectrum norm) to two adjacent doubles, and its midpoint, which rounds to
+    one of them, is within their gap of a stationary point of the density, a
+    maximum: the sign change from + to - is kept at every step.  refined is
+    False when bisection did not run: on a window hit, or when the slope does
+    not fall from + to - across the bracket (the grid argmax is returned).
     Raises ValueError when the density is 0 at every coarse sample, which
     has no peak (a zero spectrum norm, or a density that underflows).
     """
@@ -115,7 +115,7 @@ def peak_arrival(
     if refined:
         lo, hi = taus[i_best - 1], taus[i_best + 1]
         # a bracket one double wide has no midpoint strictly inside it
-        while hi - lo > config.refine_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
             if wave.slope(mid) > 0.0:
                 lo = mid
             else:

@@ -129,18 +129,15 @@ class QuadratureSettings:
 
 @dataclass(frozen=True)
 class PeakSearchConfig:
-    """Search window and refinement knobs; an unset bound is automatic."""
+    """Search window and coarse-scan size; an unset bound is automatic."""
 
     tau_min: float | None = None
     tau_max: float | None = None
     coarse_points: int = 256
-    refine_tol: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.coarse_points < 16:
             raise ValueError("coarse_points must be >= 16")
-        if not 0.0 < self.refine_tol < math.inf:
-            raise ValueError("refine_tol must be positive and finite")
         for bound in (self.tau_min, self.tau_max):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError(f"tau_min and tau_max must be finite, got {bound}")

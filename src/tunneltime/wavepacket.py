@@ -29,7 +29,7 @@ exponential per node and sample.  At W = 1, lam = 500: 10 panels on
 The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1
 = (kappa_j - 1)(kappa_j + 1), so that
 
-    Phi_T(tau) = e^{-i tau - a lam} sum_j amp_j e^{-i s_j tau}
+    Phi_T(tau) = norm e^{-i tau - a lam} sum_j amp_j e^{-i s_j tau}
 
 with amp_j carrying e^{a lam}.  |Phi_T|^2 does not depend on the common
 phase e^{-i tau}; near E_M = V0 every kappa_j^2 is close to 1, and
@@ -65,7 +65,7 @@ def _initial_panels(phase: float, nodes_per_panel: int) -> int:
     return max(1, math.ceil(abs(phase) / (0.5 * nodes_per_panel)))
 
 
-def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
+def _support_cut(unit: Spectrum, params: DimensionlessParams) -> float:
     """Largest kappa_c whose cut [0, kappa_c] drops at most eps/2 * sum|amp|.
 
     With x = lam (q - a), q = sqrt(W^2 - kappa^2), `transmission._kernel`
@@ -76,8 +76,8 @@ def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
     with g and |b| = |2 kappa^2 - W^2| lam / (2 kappa) at their extremes,
     which they take at the endpoints.  The cut is the smallest x_c at which
     the upper bound meets eps/2 times the lower one.  Both bounds scale
-    with spec.norm, so kappa_c is computed at norm = 1 and does not depend
-    on it.  Returns 0 when no cut can be certified: x_c reaches
+    with the norm, so `unit` has norm 1 and kappa_c does not depend on
+    it.  Returns 0 when no cut can be certified: x_c reaches
     lam (W - a) (kappa = 0), or the lower bound underflows.
     """
     W, lam, a = params.W, params.lam, params.a
@@ -86,7 +86,6 @@ def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
         return 0.0
     q1 = a + 1.0 / lam
     kappa1 = math.sqrt((W - q1) * (W + q1))
-    unit = replace(spec, norm=1.0)
     g = min(_spectrum.evaluate(unit, kappa1), _spectrum.evaluate(unit, 1.0))
     b = max(abs(2.0 * k * k - W * W) * lam / (2.0 * k) for k in (kappa1, 1.0))
     # 1 - kappa_1 = (1 - kappa_1^2) / (1 + kappa_1) = (q_1 - a)(q_1 + a) / (1 + kappa_1)
@@ -105,10 +104,10 @@ def _support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
 class TransmittedWave:
     """Phi_T(tau) at the exit on one composite Gauss-Legendre node set.
 
-    amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale} on
-    every node of the accepted composite rule of `panels` panels on
-    [kappa_cut, 1] (the cut moves Phi by at most eps/2 * sum|amp|), and
-    s_j = (kappa_j - 1)(kappa_j + 1).
+    amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}, g at
+    unit norm (`norm` enters `__call__` and, squared, `densities`), on every
+    node of the accepted composite rule of `panels` panels on [kappa_cut, 1]
+    (the cut moves Phi by at most eps/2 * sum|amp|); s_j = (kappa_j - 1)(kappa_j + 1).
     """
 
     s: np.ndarray
@@ -116,11 +115,12 @@ class TransmittedWave:
     panels: int
     log_scale: float
     kappa_cut: float
+    norm: float
 
     def __call__(self, time: float) -> complex:
         """Phi_T(time)."""
         total = np.sum(self.amp * np.exp(-1j * time * self.s))
-        return complex(total) * cmath.exp(complex(-self.log_scale, -time))
+        return complex(total) * cmath.exp(complex(-self.log_scale, -time)) * self.norm
 
     def densities(self, start: float, step: float, n: int) -> np.ndarray:
         """|Phi_T(start + i step)|^2 e^{2 log_scale} for i = 0 .. n - 1.
@@ -144,10 +144,10 @@ class TransmittedWave:
             if i:
                 term *= jump
             dens[i:i + _BLOCK] = np.abs(powers @ term) ** 2
-        return dens[:n]
+        return dens[:n] * self.norm**2
 
     def slope(self, time: float) -> float:
-        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau, times e^{2 log_scale}."""
+        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau, times e^{2 log_scale} / norm^2."""
         terms = self.amp * np.exp(-1j * time * self.s)
         return float((np.conj(terms.sum()) * np.sum(self.s * terms)).imag)
 
@@ -175,11 +175,12 @@ def transmitted_integral(
         raise ValueError(f"time must be finite, got {time}")
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
-    kappa_cut = _support_cut(spec, params)
+    unit = replace(spec, norm=1.0)
+    kappa_cut = _support_cut(unit, params)
 
     def amplitude(kappa: np.ndarray) -> np.ndarray:
         mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
-        return _spectrum.evaluate(spec, kappa) * mod * np.exp(1j * phase)
+        return _spectrum.evaluate(unit, kappa) * mod * np.exp(1j * phase)
 
     seed = _initial_panels(time * (1.0 - kappa_cut * kappa_cut), settings.nodes_per_panel)
     rule = integrate_adaptive(amplitude, kappa_cut, 1.0, settings, initial_panels=seed)
@@ -190,4 +191,5 @@ def transmitted_integral(
         panels=rule.panels,
         log_scale=log_scale,
         kappa_cut=kappa_cut,
+        norm=spec.norm,
     )

@@ -100,25 +100,15 @@ def test_wide_barrier_at_matched_energies_runs_under_the_default_max_panels(tmp_
     assert row.panels_max < 100
 
 
-def test_refine_tol_below_the_double_spacing_still_terminates(tmp_path):
-    # once the bracket is two adjacent doubles its midpoint rounds to one of
-    # them; bisection stops there (48 steps at lam = 100) instead of looping
-    src = Path(__file__).resolve().parents[1] / "src"
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("refine_tol = 1e-300\n")
-    out = tmp_path / "row.csv"
-    argv = ["single", "--lambda", "100", "--w-ratio", "1", "--config", str(cfg), "--out", str(out)]
-    done = subprocess.run(
-        [sys.executable, "-m", "tunneltime", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    (row,) = read_rows(out)
-    assert row.note == "tau_spm diverges (E_M = V0)"  # refined: no peak-search note
-    assert 0 < row.refine_iters < 64
+def test_config_that_sets_refine_tol_is_rejected(tmp_path, capsys):
+    # bisection always runs to two adjacent doubles; the old stopping
+    # width is no longer a key
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("refine_tol = 1e-4\n")
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_default_output_name(tmp_path, monkeypatch):
@@ -173,7 +163,7 @@ def test_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["refine_tol = inf", "tau_min = nan", "tau_max = inf", "rel_tol = inf"]
+    "line", ["tau_min = nan", "tau_max = inf", "rel_tol = inf"]
 )
 def test_non_finite_search_or_quadrature_knob_is_rejected(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

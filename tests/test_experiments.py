@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.optimize import brentq
 
 from tunneltime import experiments, wavepacket
 from tunneltime.experiments import (
@@ -25,8 +26,8 @@ from tunneltime.experiments import (
     write_rows,
     write_trace,
 )
-from tunneltime.peakfind import PeakSearchConfig, default_window
-from tunneltime.phasetime import moments_closed_form, phase_time_moments
+from tunneltime.peakfind import PeakSearchConfig, default_window, peak_arrival
+from tunneltime.phasetime import moments_closed_form, phase_time_moments, transit_velocity
 from tunneltime.quadrature import QuadratureSettings
 from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
@@ -150,14 +151,16 @@ class TestRows:
     def test_coarse_grid_hits_the_window_only_at_its_ends(self):
         # an argmax one sample inside the window still has its bracket
         # [tau_{i-1}, tau_{i+1}] in it: fig2 on 16 points flags no row and
-        # refines each to the same stationary point as the committed run
-        # (same window, so the same node set), within refine_tol
-        config = build_config("fig2", {"coarse_points": "16"})
-        rows, _ = run_experiment(config)
+        # refines each to the same stationary point as the default run (same
+        # window, so the same node set): within 1e-12 relative (measured
+        # 3.6e-15), so it prints the committed tau_num cells
+        rows, _ = run_experiment(build_config("fig2", {"coarse_points": "16"}))
+        default, _ = run_experiment(build_config("fig2"))
         committed = read_rows(RESULTS / "fig2.csv")
         assert not [row for row in rows if row.note.startswith("window_hit")]
-        for row, ref in zip(rows, committed, strict=True):
-            assert abs(row.tau_num - ref.tau_num) <= config.peak.refine_tol
+        for row, ref, cell in zip(rows, default, committed, strict=True):
+            assert row.tau_num == pytest.approx(ref.tau_num, rel=1e-12, abs=0.0)
+            assert f"{row.tau_num:.10g}" == f"{cell.tau_num:.10g}"
 
     def test_unrefined_peak_noted(self, monkeypatch):
         monkeypatch.setattr(wavepacket.TransmittedWave, "slope", lambda self, tau: 1.0)
@@ -250,6 +253,33 @@ def test_committed_results_match_a_fresh_run(tmp_path, experiment):
     rows, _ = run_experiment(build_config(experiment, {"workers": "1"}))
     write_rows(out, rows)
     assert out.read_bytes() == (RESULTS / f"{experiment}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fig1", "fig2", "single"])
+def test_committed_peak_digits_are_converged(experiment):
+    # every printed digit of the peak-derived cells is right.  Reference: the
+    # root of the density slope on a finer node set (rel_tol 1e-12, 64 nodes
+    # per panel), found by Brent's method to 4 eps relative, not by the
+    # search's own bisection.  Each committed cell equals it to one unit in
+    # its 10th significant digit (unrounded, at most 4.4e-13 relative apart)
+    grid = {"lambda": "500", "w_ratio": "1"} if experiment == "single" else {}
+    config = build_config(experiment, grid)
+    points = [(lam, w) for w in config.w_ratios for lam in config.lambdas]
+    fine = QuadratureSettings(rel_tol=1e-12, nodes_per_panel=64)
+    for (lam, w), ref in zip(points, read_rows(RESULTS / f"{experiment}.csv"), strict=True):
+        params = DimensionlessParams(W=w, lam=lam)
+        tau_new = phase_time_moments(moments_closed_form(params), params)
+        peak = peak_arrival(config.spectrum, params, config.peak, fine, tau_new)
+        step = peak.taus[1] - peak.taus[0]
+        root = brentq(peak.wave.slope, peak.tau_peak - step, peak.tau_peak + step,
+                      xtol=1e-300, rtol=4 * sys.float_info.epsilon)
+        v_transit = transit_velocity(root, params)
+        converged = {"tau_num": root, "v_transit": v_transit,
+                     "ratio_ana_num": 100.0 * transit_velocity(tau_new, params) / v_transit}
+        for name, value in converged.items():
+            printed = getattr(ref, name)
+            unit = 10.0 ** (math.floor(math.log10(abs(printed))) - 9)
+            assert abs(printed - value) <= unit, (ref.lam, ref.w, name, printed, value)
 
 
 def test_reproduce_script_regenerates_the_committed_files(tmp_path):

@@ -15,13 +15,19 @@ from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import transmitted_integral
 
-# peak times of the exit density on a 2e6-node trapezoid rule (kappa0 = 0.5,
-# delta = 10); each lies within 2e-6 of the root of that density's slope
+# peak times of the exit density (kappa0 = 0.5, delta = 10), to 20 digits:
+# mpmath roots (findroot, secant, at 30 digits) of Im(conj(I_0) I_1), half
+# of d|Phi_T|^2/dtau up to a positive factor, with
+# I_k = Int_0^1 g T s^k e^{-i s tau} dkappa and s = kappa^2 - 1, each integral
+# by mp.quad (tanh-sinh) over 200 uniform pieces of [0, 1] plus the breaks
+# 1 - 10^-j, j = 3 .. 8.  The splits matter: with breaks at 0, .5, .9, .99,
+# ..., 1 only, mp.quad reports an error near 1e-83 but is 5e-8 off at W = 2.
+# One root takes 15 to 60 s, so the values are fixed here
 ORACLE_PEAKS = {
-    (1.0, 50.0): 10.201280593681101,
-    (1.0, 100.0): 21.40659608026295,
-    (1.5, 100.0): 0.902774284044136,
-    (2.0, 100.0): 0.6047014259120121,
+    (1.0, 50.0): 10.201278635752633933,
+    (1.0, 100.0): 21.40659146696288241,
+    (1.5, 100.0): 0.90277428638254509152,
+    (2.0, 100.0): 0.60470161934913539125,
 }
 
 SPEC = Spectrum()
@@ -31,10 +37,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PeakSearchConfig(coarse_points=8)
     with pytest.raises(ValueError):
-        PeakSearchConfig(refine_tol=0.0)
-    with pytest.raises(ValueError):
         PeakSearchConfig(tau_min=5.0, tau_max=5.0)
-    for bad in ({"refine_tol": math.inf}, {"tau_min": math.nan}, {"tau_max": math.inf}):
+    for bad in ({"tau_min": math.nan}, {"tau_max": math.inf}):
         with pytest.raises(ValueError):
             PeakSearchConfig(**bad)
 
@@ -45,19 +49,19 @@ def test_default_window_brackets_reference_peak():
 
 
 @pytest.mark.parametrize("w,lam", sorted(ORACLE_PEAKS))
-def test_peak_against_trapezoid_oracle(w, lam):
-    # bisection stops at a bracket of refine_tol and returns its midpoint
+def test_peak_against_mpmath_oracle(w, lam):
+    # bisected to two adjacent doubles on the default node set: measured
+    # within 6e-14 relative of the oracle (at W = 1, lam = 50)
     params = DimensionlessParams(W=w, lam=lam)
     result = peak_arrival(SPEC, params)
     assert not result.window_hit and result.refined
-    half_tol = PeakSearchConfig().refine_tol / 2
-    assert result.tau_peak == pytest.approx(ORACLE_PEAKS[(w, lam)], abs=half_tol)
+    assert result.tau_peak == pytest.approx(ORACLE_PEAKS[(w, lam)], rel=1e-12, abs=0.0)
 
 
 def test_peak_independent_of_the_node_set():
     # near the flat W = 1 maximum, density values differ by less than their
-    # rounding, but the sign of their slope does not: the node set moves
-    # the bisected peak by less than refine_tol
+    # rounding, but the sign of their slope does not: the three node sets
+    # give the same peak to 1e-11 relative (measured 4.0e-13)
     params = DimensionlessParams(W=1.0, lam=500.0)
     node_sets = (
         QuadratureSettings(rel_tol=1e-8),
@@ -65,7 +69,7 @@ def test_peak_independent_of_the_node_set():
         QuadratureSettings(rel_tol=1e-12, nodes_per_panel=64),
     )
     taus = [peak_arrival(SPEC, params, settings=s).tau_peak for s in node_sets]
-    assert max(taus) - min(taus) <= PeakSearchConfig().refine_tol
+    assert max(taus) - min(taus) <= 1e-11 * min(taus)
 
 
 @pytest.mark.parametrize("w,lam,tau", [(1.0, 100.0, 15.0), (1.0, 100.0, 30.0), (1.5, 100.0, 0.7)])
@@ -89,16 +93,26 @@ def test_peak_scaling_invariance():
     assert scaled.wave.kappa_cut == base.wave.kappa_cut > 0.0
 
 
-def test_refinement_convergence_under_tolerance_halving():
-    # halving refine_tol moves tau_peak by less than the previous refine_tol
-    params = DimensionlessParams(W=1.0, lam=100.0)
-    tols = (2e-2, 1e-2, 5e-3)
-    taus = [
-        peak_arrival(SPEC, params, PeakSearchConfig(coarse_points=64, refine_tol=t)).tau_peak
-        for t in tols
-    ]
-    for coarse_tol, tau_a, tau_b in zip(tols, taus, taus[1:]):
-        assert abs(tau_b - tau_a) < coarse_tol
+def test_final_bracket_is_two_adjacent_doubles(monkeypatch):
+    # bisection runs until the bracket has no double strictly inside it; the
+    # slope still falls from + to - across it, and tau_peak, its midpoint,
+    # rounds to one of its ends
+    slope, calls = wavepacket.TransmittedWave.slope, []
+
+    def recorded(self, tau):
+        calls.append((tau, slope(self, tau)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(wavepacket.TransmittedWave, "slope", recorded)
+    for w, lam in sorted(ORACLE_PEAKS):
+        calls.clear()
+        result = peak_arrival(SPEC, DimensionlessParams(W=w, lam=lam))
+        # the bracket test at tau_{i-1} and tau_{i+1}, then one call per step
+        assert result.refined and result.refine_iters == len(calls) - 2
+        lo = max(tau for tau, value in calls if value > 0.0)
+        hi = min(tau for tau, value in calls if value <= 0.0)
+        assert math.nextafter(lo, math.inf) == hi
+        assert result.tau_peak in (lo, hi)
 
 
 def test_window_hit_flagged_not_raised():
@@ -348,10 +362,9 @@ def test_transit_time_slope_at_matched_energies():
     # the opaque constant 2/9 the same combination runs from -1293 to -80800
     c_star = _transit_slope_mp()
     assert c_star == pytest.approx(0.21717467305957345386, rel=1e-15)
-    config = PeakSearchConfig(refine_tol=1e-9)
     offsets, opaque = [], []
     for lam in (500.0, 1000.0, 2000.0, 4000.0):
-        peak = peak_arrival(SPEC, DimensionlessParams(W=1.0, lam=lam), config)
+        peak = peak_arrival(SPEC, DimensionlessParams(W=1.0, lam=lam))
         assert peak.refined
         offsets.append(lam * (peak.tau_peak - c_star * lam))
         opaque.append(lam * (peak.tau_peak - 2.0 / 9.0 * lam))
@@ -370,12 +383,11 @@ def test_transit_time_offset_holds_at_large_lam():
     # Bounds: the two sets within 0.15 of each other (measured 0.076, 2x
     # margin), and the finer one within 0.005 of d = -30.5423 (measured 1e-4)
     c_star = 0.21717467305957345386  # `_transit_slope_mp()`, checked above
-    config = PeakSearchConfig(refine_tol=1e-9)
     node_sets = (QuadratureSettings(rel_tol=1e-8),
                  QuadratureSettings(rel_tol=1e-11, nodes_per_panel=64))
     for lam in (8000.0, 16000.0, 32000.0):
         params = DimensionlessParams(W=1.0, lam=lam)
-        coarse, fine = (lam * (peak_arrival(SPEC, params, config, s).tau_peak - c_star * lam)
+        coarse, fine = (lam * (peak_arrival(SPEC, params, settings=s).tau_peak - c_star * lam)
                         for s in node_sets)
         assert abs(coarse - fine) <= 0.15
         assert fine == pytest.approx(-30.5423, abs=0.005)
@@ -417,14 +429,13 @@ def test_opaque_peak_follows_tau_new_through_first_order():
     c0, c1, a = _tau_new_series()
     assert sympy.simplify(c0 - 1 / a) == 0
     assert sympy.simplify(c1 - 2 * (a**2 - 1) / a**2) == 0
-    config = PeakSearchConfig(refine_tol=1e-11)
     for w in (1.2, 1.5, 2.0):
         for kappa0, delta in ((0.5, 10.0), (0.9, 30.0), (0.3, 5.0)):
             spec = Spectrum(kappa0=kappa0, delta=delta)
             second_order = []
             for lam in (1600.0, 3200.0):
                 params = DimensionlessParams(W=w, lam=lam)
-                peak = peak_arrival(spec, params, config)
+                peak = peak_arrival(spec, params)
                 assert peak.refined
                 tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
                 second_order.append(lam**2 * (peak.tau_peak - tau_new))
