@@ -5,6 +5,10 @@ and override flags whose dests are config keys; all values default to the
 reference configuration.  Exit codes: 0 success, 1 invalid config or an
 output file that cannot be written, 2 numerical failure, 3 partial
 success (some sweep points failed, noted in the CSV).
+
+`main(argv)` is the library entry and leaves the garbage collector alone;
+the process entry (`python -m tunneltime`, the `tunneltime` script) is
+`tunneltime.__main__.run`, which runs `main` without the cyclic collector.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -182,6 +183,31 @@ class TestRows:
         assert rows[0].note.startswith("tau_spm diverges")
         assert rows[1].tau_spm == pytest.approx(1.0 / math.sqrt(1.5**2 - 1.0), rel=1e-12)
         assert rows[1].note == ""
+
+
+def test_serial_grid_makes_no_reference_cycles():
+    # the process entry (tunneltime.__main__.run) runs without the cyclic
+    # collector, so a grid point that left a reference cycle would leak
+    # there in silence; every kind of row a serial grid makes is covered
+    grids = [
+        ("table1", {"lambda": "50, 100", "coarse_points": "32"}, "tau_spm"),
+        ("fig2", {"w_ratio": "1.0, 1.5", "coarse_points": "32"}, "tau_spm"),
+        ("single", {"lambda": "100", "coarse_points": "32", "trace": "true"}, "tau_spm"),
+        ("single", {"lambda": "100", "max_panels": "1"}, "failed:"),
+        ("single", {"lambda": "100", "coarse_points": "32", "tau_max": "15"}, "window_hit"),
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for experiment, values, note in grids:
+            rows, trace = run_experiment(build_config(experiment, values))
+            assert rows[0].note.startswith(note)
+            assert (trace is not None) == (values.get("trace") == "true")
+            assert gc.collect() == 0, (experiment, values)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestCsv:
