@@ -10,13 +10,14 @@ import os
 import sys
 
 # The package's linear algebra is the coarse scan's 16-row matrix-vector
-# product (a BLAS zgemv) and one LAPACK eigh per Gauss-Legendre rule size
-# and process (n x n for n nodes, 32 by default); neither needs threads,
-# and the thread pool OpenBLAS starts when numpy loads only spins.  Ask
-# for a single-threaded OpenBLAS unless the user chose a count, or numpy
-# is already loaded and the setting could no longer take effect (it would
-# only leak into that program's subprocesses).  Every submodule import
-# runs this first; numpy itself loads only with the numeric modules.
+# product (a BLAS zgemv), the slope's 3-row product (a BLAS dgemm) and one
+# LAPACK eigh per Gauss-Legendre rule size and process (n x n for n nodes,
+# 32 by default); none needs threads, and the thread pool OpenBLAS starts
+# when numpy loads only spins.  Ask for a single-threaded OpenBLAS unless
+# the user chose a count, or numpy is already loaded and the setting could
+# no longer take effect (it would only leak into that program's
+# subprocesses).  Every submodule import runs this first; numpy itself
+# loads only with the numeric modules.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -1,13 +1,15 @@
 """Peak-arrival detection at the barrier exit.
 
 The numerical phase time is the time at which |Phi_T(L, t)|^2 is maximal:
-a coarse scan over a bracketing window, then bisection of the bracket
-around the coarse argmax on the sign of d|Phi_T|^2/dtau to two adjacent
-doubles (near the flat maximum density values differ by less than their
-rounding; the slope's sign does not).  Both run on one node set per configuration
-(`wavepacket.transmitted_integral`), built once for the whole window, so
-the density is a smooth function of tau with no panel-set noise; the
-engine's `densities` gives the coarse scan and its `slope` the sign.  Both
+a coarse scan over a bracketing window, then safeguarded Newton steps on
+the root of d|Phi_T|^2/dtau inside the bracket around the coarse argmax,
+each moving one end of the bracket by the slope's sign, until the bracket
+spans two adjacent doubles (near the flat maximum density values differ
+by less than their rounding; the slope's sign does not).  Both run on one
+node set per configuration (`wavepacket.transmitted_integral`), built once
+for the whole window, so the density is a smooth function of tau with no
+panel-set noise; the engine's `densities` gives the coarse scan, its
+`slope` the bracket test and its `slope_and_derivative` each step.  Both
 leave out the common factor e^{-2 a lam}, which keeps the argmax and keeps
 opaque configurations representable.  The bracket is trusted on one test:
 the slope falls from + to - across it.
@@ -21,6 +23,7 @@ an error naming tau_new.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +79,54 @@ def search_window(
     return replace(config, tau_min=tau_min, tau_max=tau_max)
 
 
+# A Newton step of at most this many ulps hands over to the endgame: within
+# some tens of ulps of the root f is rounding noise, and Newton steps there
+# jump about instead of converging
+_ENDGAME_ULPS = 64.0
+
+
+def _refine(
+    wave: wavepacket.TransmittedWave, lo: float, tau: float, hi: float
+) -> tuple[float, int]:
+    """Root of the slope f in [lo, hi], where f(lo) > 0 >= f(hi), from tau inside.
+
+    Safeguarded Newton (rtsafe, Numerical Recipes 9.4): each evaluation of
+    f, f' (`slope_and_derivative`) moves the end of the bracket its sign
+    says, and the next tau is the Newton point, or the midpoint when that
+    point leaves the bracket, when the step is more than half the last one
+    (the last Newton step, or after a bisection the bracket), or when
+    f' >= 0.  Newton closes the bracket from one side only, so once a
+    step is at most _ENDGAME_ULPS ulps (or f = 0.0 there), the endgame
+    probes past the root estimate toward the far end with a doubling gap,
+    which is bisection once the far end has moved.  Stops when the bracket
+    spans two adjacent doubles; returns its midpoint, which rounds to one of
+    them, and the number of evaluations.
+    """
+    evals, last_step, gap = 0, hi - lo, 0.0
+    while True:
+        f, df = wave.slope_and_derivative(tau)
+        evals += 1
+        if f > 0.0:
+            lo = tau
+        else:
+            hi = tau
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # a bracket one double wide has no midpoint inside it
+            return mid, evals
+        if not gap:
+            step = -f / df if df < 0.0 else (0.0 if f == 0.0 else math.inf)
+            if abs(step) <= _ENDGAME_ULPS * math.ulp(tau):
+                root, up, gap = tau + step, f > 0.0, math.ulp(tau)
+            elif lo < tau + step < hi and abs(step) <= 0.5 * last_step:
+                tau, last_step = tau + step, abs(step)
+                continue
+            else:
+                tau, last_step = mid, hi - lo
+                continue
+        tau = min(root + gap, mid) if up else max(root - gap, mid)
+        gap *= 2.0
+
+
 def peak_arrival(
     spec: Spectrum,
     params: DimensionlessParams,
@@ -89,13 +140,15 @@ def peak_arrival(
     scanned at config.coarse_points evenly spaced taus.  window_hit is set
     (and refinement skipped) when the coarse argmax is the first or last
     sample, with no bracket in the window; the caller must widen.  Otherwise
-    the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is bisected on
-    the sign of `TransmittedWave.slope` (refine_iters steps, the same at any
-    spectrum norm) to two adjacent doubles, and its midpoint, which rounds to
-    one of them, is within their gap of a stationary point of the density, a
-    maximum: the sign change from + to - is kept at every step.  refined is
-    False when bisection did not run: on a window hit, or when the slope does
-    not fall from + to - across the bracket (the grid argmax is returned).
+    the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is refined
+    from tau_i (`_refine`: Newton steps with a bisection fallback, one
+    evaluation of `TransmittedWave.slope_and_derivative` each, refine_iters
+    in all, the same at any spectrum norm) on the sign of the slope to two
+    adjacent doubles, and its midpoint, which rounds to one of them, is
+    within their gap of a stationary point of the density, a maximum: the
+    sign change from + to - is kept at every step.  refined is False when
+    the refinement did not run: on a window hit, or when the slope does not
+    fall from + to - across the bracket (the grid argmax is returned).
     Raises ValueError when the density is 0 at every coarse sample, which
     has no peak (a zero spectrum norm, or a density that underflows).
     """
@@ -113,15 +166,7 @@ def peak_arrival(
     refined = not window_hit and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
     tau_peak, iters = taus[i_best], 0
     if refined:
-        lo, hi = taus[i_best - 1], taus[i_best + 1]
-        # a bracket one double wide has no midpoint strictly inside it
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if wave.slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iters += 1
-        tau_peak = 0.5 * (lo + hi)
+        tau_peak, iters = _refine(wave, taus[i_best - 1], taus[i_best], taus[i_best + 1])
     return PeakResult(
         tau_peak=tau_peak,
         window_hit=window_hit,

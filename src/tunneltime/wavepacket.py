@@ -34,12 +34,13 @@ The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1
 with amp_j carrying e^{a lam}.  |Phi_T|^2 does not depend on the common
 phase e^{-i tau}; near E_M = V0 every kappa_j^2 is close to 1, and
 d|Phi_T|^2/dtau, a difference of two nearly equal sums over kappa_j^2,
-keeps its digits only when it is formed from the small s_j.  Calling the
-engine gives Phi_T itself; its peak-search methods (`densities`, `slope`)
-leave out the factor e^{-2 a lam}, which keeps opaque configurations
-representable and does not move the argmax.  The peak search (`peakfind`)
-builds the engine once for its whole window; a single sample is
-`transmitted_integral(spec, params, tau)(tau)`.
+keeps its digits only when it is formed from the small s_j (the slope
+methods go further and take s_j about its mean).  Calling the engine
+gives Phi_T itself; its peak-search methods (`densities`, `slope`,
+`slope_and_derivative`) leave out the factor e^{-2 a lam}, which keeps
+opaque configurations representable and does not move the argmax.  The
+peak search (`peakfind`) builds the engine once for its whole window; a
+single sample is `transmitted_integral(spec, params, tau)(tau)`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +110,10 @@ class TransmittedWave:
     unit norm (`norm` enters `__call__` and, squared, `densities`), on every
     node of the accepted composite rule of `panels` panels on [kappa_cut, 1]
     (the cut moves Phi by at most eps/2 * sum|amp|); s_j = (kappa_j - 1)(kappa_j + 1).
+    The peak search reads the density's slope f = (1/2) d|Phi|^2/dtau
+    (`slope`, for its bracket test) and f with its derivative f'
+    (`slope_and_derivative`, for each Newton step): one exponential per
+    node either way, f the same bits from both, at unit norm.
     """
 
     s: np.ndarray
@@ -146,10 +152,33 @@ class TransmittedWave:
             dens[i:i + _BLOCK] = np.abs(powers @ term) ** 2
         return dens[:n] * self.norm**2
 
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """Rows 1, d_j, d_j^2 with d_j = s_j - c, c the |amp|-weighted mean of s."""
+        weight = np.abs(self.amp)
+        d = self.s - np.sum(self.s * weight) / np.sum(weight)
+        return np.vstack([np.ones_like(d), d, d * d])
+
     def slope(self, time: float) -> float:
         """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau, times e^{2 log_scale} / norm^2."""
+        return self.slope_and_derivative(time)[0]
+
+    def slope_and_derivative(self, time: float) -> tuple[float, float]:
+        """`slope` f and its tau-derivative f', from one exponential per node.
+
+        With S_k = sum_j d_j^k amp_j e^{-i s_j time}, f = Im(conj(S_0) S_1) and
+        f' = |S_1|^2 - Re(conj(S_0) S_2), for d_j = s_j - c and any constant
+        c: the shift multiplies Phi by the phase e^{i c time}, which leaves
+        |Phi|^2 as it is and cancels in each product.  c is the
+        |amp|-weighted mean of s (`_powers`), so S_1 and S_2 are as small as
+        the spread of s allows, and so is the rounding of the two nearly
+        equal products whose difference is f near the peak.  The three sums
+        are one real matrix product with the (re, im) pairs of the terms.
+        """
         terms = self.amp * np.exp(-1j * time * self.s)
-        return float((np.conj(terms.sum()) * np.sum(self.s * terms)).imag)
+        sums = self._powers @ terms.view(float).reshape(-1, 2)
+        (re0, im0), (re1, im1), (re2, im2) = sums.tolist()
+        return re0 * im1 - im0 * re1, re1 * re1 + im1 * im1 - (re0 * re2 + im0 * im2)
 
     def unscale(self, scaled_density):
         """|Phi_T|^2 from a density of `densities` (scalar or array)."""

@@ -101,7 +101,7 @@ def test_wide_barrier_at_matched_energies_runs_under_the_default_max_panels(tmp_
 
 
 def test_config_that_sets_refine_tol_is_rejected(tmp_path, capsys):
-    # bisection always runs to two adjacent doubles; the old stopping
+    # the refinement always runs to two adjacent doubles; the old stopping
     # width is no longer a key
     cfg = tmp_path / "old.cfg"
     cfg.write_text("refine_tol = 1e-4\n")
@@ -299,8 +299,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_run_loads_no_numpy_polynomial_and_stays_single_threaded(tmp_path):
-    # the quadrature rule comes from numpy.linalg, and the coarse scan's one
-    # BLAS call runs under the single-threaded OpenBLAS `import tunneltime` asks for
+    # the quadrature rule comes from numpy.linalg, and the BLAS calls of the
+    # coarse scan and of the slope run under the single-threaded OpenBLAS
+    # `import tunneltime` asks for
     src = Path(__file__).resolve().parents[1] / "src"
     out = tmp_path / "row.csv"
     code = (

@@ -286,7 +286,7 @@ def test_committed_peak_digits_are_converged(experiment):
     # every printed digit of the peak-derived cells is right.  Reference: the
     # root of the density slope on a finer node set (rel_tol 1e-12, 64 nodes
     # per panel), found by Brent's method to 4 eps relative, not by the
-    # search's own bisection.  Each committed cell equals it to one unit in
+    # search's own Newton steps.  Each committed cell equals it to one unit in
     # its 10th significant digit (unrounded, at most 4.4e-13 relative apart)
     grid = {"lambda": "500", "w_ratio": "1"} if experiment == "single" else {}
     config = build_config(experiment, grid)

@@ -8,7 +8,7 @@ import sympy
 
 from tunneltime import phasetime, transmission, wavepacket
 from tunneltime import spectrum as spectrum_mod
-from tunneltime.experiments import compute_row
+from tunneltime.experiments import build_config, compute_row
 from tunneltime.peakfind import PeakSearchConfig, default_window, peak_arrival
 from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
 from tunneltime.spectrum import Spectrum
@@ -50,7 +50,7 @@ def test_default_window_brackets_reference_peak():
 
 @pytest.mark.parametrize("w,lam", sorted(ORACLE_PEAKS))
 def test_peak_against_mpmath_oracle(w, lam):
-    # bisected to two adjacent doubles on the default node set: measured
+    # refined to two adjacent doubles on the default node set: measured
     # within 6e-14 relative of the oracle (at W = 1, lam = 50)
     params = DimensionlessParams(W=w, lam=lam)
     result = peak_arrival(SPEC, params)
@@ -93,26 +93,124 @@ def test_peak_scaling_invariance():
     assert scaled.wave.kappa_cut == base.wave.kappa_cut > 0.0
 
 
-def test_final_bracket_is_two_adjacent_doubles(monkeypatch):
-    # bisection runs until the bracket has no double strictly inside it; the
-    # slope still falls from + to - across it, and tau_peak, its midpoint,
-    # rounds to one of its ends
-    slope, calls = wavepacket.TransmittedWave.slope, []
+def _record_slope_evaluations(monkeypatch, evaluate=None):
+    """Record (tau, f, f') at every slope evaluation, through `evaluate` if given.
+
+    `slope` is the first value of `slope_and_derivative`, so the record holds
+    the bracket test's two `slope` calls and every step of the refinement.
+    """
+    real, calls = wavepacket.TransmittedWave.slope_and_derivative, []
+    evaluate = evaluate or real
 
     def recorded(self, tau):
-        calls.append((tau, slope(self, tau)))
-        return calls[-1][1]
+        calls.append((tau, *evaluate(self, tau)))
+        return calls[-1][1:]
 
-    monkeypatch.setattr(wavepacket.TransmittedWave, "slope", recorded)
+    monkeypatch.setattr(wavepacket.TransmittedWave, "slope_and_derivative", recorded)
+    return calls
+
+
+def _final_bracket(result, calls):
+    """The last bracket: the highest tau of slope > 0 and the lowest of slope <= 0.
+
+    Each evaluation lies strictly inside the bracket it narrows, so these
+    are the last bracket's ends; they must be adjacent doubles with tau_peak
+    one of them.
+    """
+    lo = max(tau for tau, value, _ in calls if value > 0.0)
+    hi = min(tau for tau, value, _ in calls if value <= 0.0)
+    assert math.nextafter(lo, math.inf) == hi
+    assert result.tau_peak in (lo, hi)
+    return lo, hi
+
+
+def test_final_bracket_is_two_adjacent_doubles(monkeypatch):
+    # the refinement runs until the bracket has no double strictly inside
+    # it; the slope still falls from + to - across it, and tau_peak, its
+    # midpoint, rounds to one of its ends.  refine_iters counts the
+    # evaluations after the bracket test at tau_{i-1} and tau_{i+1}
+    calls = _record_slope_evaluations(monkeypatch)
     for w, lam in sorted(ORACLE_PEAKS):
         calls.clear()
         result = peak_arrival(SPEC, DimensionlessParams(W=w, lam=lam))
-        # the bracket test at tau_{i-1} and tau_{i+1}, then one call per step
+        i = int(np.argmax(result.densities))
+        assert [tau for tau, _, _ in calls[:2]] == [result.taus[i - 1], result.taus[i + 1]]
         assert result.refined and result.refine_iters == len(calls) - 2
-        lo = max(tau for tau, value in calls if value > 0.0)
-        hi = min(tau for tau, value in calls if value <= 0.0)
-        assert math.nextafter(lo, math.inf) == hi
-        assert result.tau_peak in (lo, hi)
+        _final_bracket(result, calls)
+
+
+@pytest.mark.parametrize("w,lam,tau", [(1.0, 100.0, 15.0), (1.0, 100.0, 30.0), (1.5, 100.0, 0.7)])
+def test_slope_derivative_matches_a_central_difference(w, lam, tau):
+    # f' of `slope_and_derivative` against a central difference of `slope`
+    # (measured within 9e-11 relative); its f is `slope` bit for bit
+    wave = peak_arrival(SPEC, DimensionlessParams(W=w, lam=lam)).wave
+    h = 1e-4 * tau
+    value, derivative = wave.slope_and_derivative(tau)
+    assert value == wave.slope(tau)
+    diff = (wave.slope(tau + h) - wave.slope(tau - h)) / (2 * h)
+    assert derivative == pytest.approx(diff, rel=1e-7, abs=0.0)
+
+
+def test_bisection_fallback_reaches_the_same_peak(monkeypatch):
+    # with f' >= 0 every Newton step is refused and each evaluation bisects:
+    # 47 to 50 steps to two adjacent doubles, with the slope falling from +
+    # to - across them, at the peak the Newton steps find to 1e-13 relative,
+    # on ORACLE_PEAKS and the default table1 and fig2 rows (measured: equal
+    # on all 35)
+    rows = [(SPEC, DimensionlessParams(W=w, lam=lam), None, None)
+            for w, lam in sorted(ORACLE_PEAKS)]
+    for experiment in ("table1", "fig2"):
+        config = build_config(experiment, {})
+        rows += [(config.spectrum, DimensionlessParams(W=w, lam=lam), config.peak,
+                  config.quadrature) for w in config.w_ratios for lam in config.lambdas]
+    newton = [peak_arrival(*row).tau_peak for row in rows]
+    real = wavepacket.TransmittedWave.slope_and_derivative
+
+    def rising(self, tau):
+        value, derivative = real(self, tau)
+        return value, abs(derivative)
+
+    calls = _record_slope_evaluations(monkeypatch, rising)
+    for row, tau_newton in zip(rows, newton):
+        calls.clear()
+        result = peak_arrival(*row)
+        assert result.refined and 47 <= result.refine_iters <= 50
+        _final_bracket(result, calls)
+        assert result.tau_peak == pytest.approx(tau_newton, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("w,lam", [*sorted(ORACLE_PEAKS), (math.sqrt(1.3), 200.0)])
+def test_zero_slope_band_ends_without_a_one_ulp_crawl(monkeypatch, w, lam):
+    # a slope that rounds to 0.0 over +-100 ulps of the peak: each 0.0 moves
+    # the upper end of the bracket, and the endgame probes below it with a
+    # doubling gap, then bisects, so the search ends at the band's lower
+    # edge in 17 evaluations (bound 24; bisection takes 47 to 50, and one
+    # ulp per step over the band more than 100)
+    params = DimensionlessParams(W=w, lam=lam)
+    root = peak_arrival(SPEC, params).tau_peak
+    band = 100 * math.ulp(root)
+    real = wavepacket.TransmittedWave.slope_and_derivative
+
+    def flat(self, tau):
+        value, derivative = real(self, tau)
+        return (0.0 if abs(tau - root) <= band else value), derivative
+
+    calls = _record_slope_evaluations(monkeypatch, flat)
+    result = peak_arrival(SPEC, params)
+    assert result.refined and result.refine_iters <= 24
+    lo, hi = _final_bracket(result, calls)
+    assert lo < root - band <= hi
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fig2"])
+def test_every_default_row_refines_within_twelve_evaluations(experiment):
+    # the Newton steps carry the search: measured 4 to 5 evaluations per
+    # table1 row and 4 to 7 per fig2 row, against 47 to 50 for bisection
+    config = build_config(experiment, {})
+    for w in config.w_ratios:
+        for lam in config.lambdas:
+            row = compute_row(lam, w, config.spectrum, config.peak, config.quadrature)
+            assert 0 < row.refine_iters <= 12, (lam, w, row.refine_iters)
 
 
 def test_window_hit_flagged_not_raised():
@@ -144,7 +242,7 @@ def test_window_filled_from_the_tau_new_passed_in(monkeypatch):
 
 def test_flat_top_with_a_falling_slope_is_refined(monkeypatch):
     # a tie at the argmax still brackets a maximum when the slope falls
-    # from + to - across it: bisection runs, on the same bracket as without
+    # from + to - across it: refinement runs, on the same bracket as without
     # the tie (np.argmax takes the first maximum), to the same peak
     params = DimensionlessParams(W=1.0, lam=100.0)
     cfg = PeakSearchConfig(coarse_points=64)
