@@ -8,11 +8,12 @@ spans two adjacent doubles (near the flat maximum density values differ
 by less than their rounding; the slope's sign does not).  Both run on one
 node set per configuration (`wavepacket.transmitted_integral`), built once
 for the whole window, so the density is a smooth function of tau with no
-panel-set noise; the engine's `densities` gives the coarse scan, its
-`slope` the bracket test and its `slope_and_derivative` each step.  Both
-leave out the common factor e^{-2 a lam}, which keeps the argmax and keeps
-opaque configurations representable.  The bracket is trusted on one test:
-the slope falls from + to - across it.
+panel-set noise; the engine's `densities` gives the coarse scan and its
+`slope_and_derivative` every evaluation of the refinement (`_refine`), the
+bracket test at its two ends among them.  Both leave out the common factor
+e^{-2 a lam}, which keeps the argmax and keeps opaque configurations
+representable.  The bracket is trusted on one test: the slope falls from
++ to - across it.
 `peak_arrival` is the whole search, and its result carries the scan and
 the engine it ran on.
 One rule (`search_window`) fills each unset window bound from
@@ -24,7 +25,7 @@ an error naming tau_new.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,13 +61,13 @@ def default_window(tau_reference: float) -> tuple[float, float]:
 
 def search_window(
     config: PeakSearchConfig, params: DimensionlessParams, tau_new: float | None = None
-) -> PeakSearchConfig:
-    """config with each unset bound from default_window(tau_new).
+) -> tuple[float, float]:
+    """(tau_min, tau_max): config's bounds, each unset one from default_window(tau_new).
 
     tau_new comes from the closed-form moments unless the caller passes it.
     """
     if config.tau_min is not None and config.tau_max is not None:
-        return config
+        return config.tau_min, config.tau_max
     if tau_new is None:
         tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
     auto_min, auto_max = default_window(tau_new)
@@ -76,7 +77,7 @@ def search_window(
         auto = "tau_min" if config.tau_min is None else "tau_max"
         raise ValueError(f"empty search window [{tau_min:.6g}, {tau_max:.6g}]: the automatic "
                          f"{auto} comes from tau_new = {tau_new:.6g}; set both bounds")
-    return replace(config, tau_min=tau_min, tau_max=tau_max)
+    return tau_min, tau_max
 
 
 # A Newton step of at most this many ulps hands over to the endgame: within
@@ -87,21 +88,26 @@ _ENDGAME_ULPS = 64.0
 
 def _refine(
     wave: wavepacket.TransmittedWave, lo: float, tau: float, hi: float
-) -> tuple[float, int]:
-    """Root of the slope f in [lo, hi], where f(lo) > 0 >= f(hi), from tau inside.
+) -> tuple[float, int] | None:
+    """Root of the slope f in [lo, hi] from tau inside, or None without a bracket.
 
-    Safeguarded Newton (rtsafe, Numerical Recipes 9.4): each evaluation of
-    f, f' (`slope_and_derivative`) moves the end of the bracket its sign
-    says, and the next tau is the Newton point, or the midpoint when that
-    point leaves the bracket, when the step is more than half the last one
-    (the last Newton step, or after a bisection the bracket), or when
-    f' >= 0.  Newton closes the bracket from one side only, so once a
-    step is at most _ENDGAME_ULPS ulps (or f = 0.0 there), the endgame
-    probes past the root estimate toward the far end with a doubling gap,
-    which is bisection once the far end has moved.  Stops when the bracket
-    spans two adjacent doubles; returns its midpoint, which rounds to one of
-    them, and the number of evaluations.
+    Safeguarded Newton (rtsafe, Numerical Recipes 9.4) on f, f'
+    (`slope_and_derivative`).  It first takes f at lo, then, when f(lo) > 0,
+    at hi, and returns None unless f falls from + to - across [lo, hi]
+    (f(lo) > 0 >= f(hi)).  Then each evaluation from tau on moves the end
+    of the bracket its sign says, and the next tau is the Newton point, or
+    the midpoint when that point leaves the bracket, when the step is more
+    than half the last one (the last Newton step, or after a bisection the
+    bracket), or when f' >= 0.  Newton closes the bracket from one side
+    only, so once a step is at most _ENDGAME_ULPS ulps (or f = 0.0 there),
+    the endgame probes past the root estimate toward the far end with a
+    doubling gap, which is bisection once the far end has moved.  Stops
+    when the bracket spans two adjacent doubles; returns its midpoint,
+    which rounds to one of them, and the number of evaluations from tau on
+    (the two at the bracket ends not counted).
     """
+    if not wave.slope_and_derivative(lo)[0] > 0.0 >= wave.slope_and_derivative(hi)[0]:
+        return None
     evals, last_step, gap = 0, hi - lo, 0.0
     while True:
         f, df = wave.slope_and_derivative(tau)
@@ -140,10 +146,11 @@ def peak_arrival(
     scanned at config.coarse_points evenly spaced taus.  window_hit is set
     (and refinement skipped) when the coarse argmax is the first or last
     sample, with no bracket in the window; the caller must widen.  Otherwise
-    the bracket [tau_{i-1}, tau_{i+1}] around the coarse argmax is refined
-    from tau_i (`_refine`: Newton steps with a bisection fallback, one
-    evaluation of `TransmittedWave.slope_and_derivative` each, refine_iters
-    in all, the same at any spectrum norm) on the sign of the slope to two
+    `_refine` takes the bracket [tau_{i-1}, tau_{i+1}] around the coarse
+    argmax: when the slope falls from + to - across it, Newton steps with a
+    bisection fallback from tau_i (one evaluation of
+    `TransmittedWave.slope_and_derivative` each, refine_iters in all, the
+    same at any spectrum norm) narrow it on the sign of the slope to two
     adjacent doubles, and its midpoint, which rounds to one of them, is
     within their gap of a stationary point of the density, a maximum: the
     sign change from + to - is kept at every step.  refined is False when
@@ -152,8 +159,8 @@ def peak_arrival(
     Raises ValueError when the density is 0 at every coarse sample, which
     has no peak (a zero spectrum norm, or a density that underflows).
     """
-    config = search_window(config or PeakSearchConfig(), params, tau_new)
-    tau_lo, tau_hi, n = config.tau_min, config.tau_max, config.coarse_points
+    config = config or PeakSearchConfig()
+    (tau_lo, tau_hi), n = search_window(config, params, tau_new), config.coarse_points
     wave = wavepacket.transmitted_integral(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     step = (tau_hi - tau_lo) / (n - 1)
     taus = [tau_lo + i * step for i in range(n)]
@@ -163,14 +170,12 @@ def peak_arrival(
                          f"{tau_hi:.6g}]: the spectrum norm is 0 or the density underflows")
     i_best = int(np.argmax(dens))
     window_hit = i_best == 0 or i_best == n - 1
-    refined = not window_hit and wave.slope(taus[i_best - 1]) > 0.0 >= wave.slope(taus[i_best + 1])
-    tau_peak, iters = taus[i_best], 0
-    if refined:
-        tau_peak, iters = _refine(wave, taus[i_best - 1], taus[i_best], taus[i_best + 1])
+    found = None if window_hit else _refine(wave, *taus[i_best - 1:i_best + 2])
+    tau_peak, iters = found or (taus[i_best], 0)
     return PeakResult(
         tau_peak=tau_peak,
         window_hit=window_hit,
-        refined=refined,
+        refined=found is not None,
         refine_iters=iters,
         taus=taus,
         densities=dens,

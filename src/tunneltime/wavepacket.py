@@ -35,8 +35,8 @@ with amp_j carrying e^{a lam}.  |Phi_T|^2 does not depend on the common
 phase e^{-i tau}; near E_M = V0 every kappa_j^2 is close to 1, and
 d|Phi_T|^2/dtau, a difference of two nearly equal sums over kappa_j^2,
 keeps its digits only when it is formed from the small s_j (the slope
-methods go further and take s_j about its mean).  Calling the engine
-gives Phi_T itself; its peak-search methods (`densities`, `slope`,
+method goes further and takes s_j about its mean).  Calling the engine
+gives Phi_T itself; its peak-search methods (`densities`,
 `slope_and_derivative`) leave out the factor e^{-2 a lam}, which keeps
 opaque configurations representable and does not move the argmax.  The
 peak search (`peakfind`) builds the engine once for its whole window; a
@@ -111,9 +111,8 @@ class TransmittedWave:
     node of the accepted composite rule of `panels` panels on [kappa_cut, 1]
     (the cut moves Phi by at most eps/2 * sum|amp|); s_j = (kappa_j - 1)(kappa_j + 1).
     The peak search reads the density's slope f = (1/2) d|Phi|^2/dtau
-    (`slope`, for its bracket test) and f with its derivative f'
-    (`slope_and_derivative`, for each Newton step): one exponential per
-    node either way, f the same bits from both, at unit norm.
+    with its derivative f' (`slope_and_derivative`, for its bracket test
+    and each Newton step): one exponential per node, at unit norm.
     """
 
     s: np.ndarray
@@ -138,8 +137,7 @@ class TransmittedWave:
         by a direct exponential, so sample i carries about i / _BLOCK +
         _BLOCK roundings of its phase factor instead of i.
         """
-        powers = np.empty((_BLOCK, self.s.size), dtype=complex)
-        powers[0] = 1.0
+        powers = np.ones((_BLOCK, self.s.size), dtype=complex)
         powers[1] = np.exp(-1j * step * self.s)
         for r in range(2, _BLOCK):
             np.multiply(powers[r - 1], powers[1], out=powers[r])
@@ -147,9 +145,8 @@ class TransmittedWave:
         term = self.amp * np.exp(-1j * start * self.s)
         dens = np.empty(-(-n // _BLOCK) * _BLOCK)
         for i in range(0, n, _BLOCK):
-            if i:
-                term *= jump
             dens[i:i + _BLOCK] = np.abs(powers @ term) ** 2
+            term *= jump
         return dens[:n] * self.norm**2
 
     @cached_property
@@ -159,12 +156,11 @@ class TransmittedWave:
         d = self.s - np.sum(self.s * weight) / np.sum(weight)
         return np.vstack([np.ones_like(d), d, d * d])
 
-    def slope(self, time: float) -> float:
-        """Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau, times e^{2 log_scale} / norm^2."""
-        return self.slope_and_derivative(time)[0]
-
     def slope_and_derivative(self, time: float) -> tuple[float, float]:
-        """`slope` f and its tau-derivative f', from one exponential per node.
+        """Slope f and its tau-derivative f', from one exponential per node.
+
+        f = Re(conj(Phi) dPhi/dtau) = (1/2) d|Phi|^2/dtau, times
+        e^{2 log_scale} / norm^2.
 
         With S_k = sum_j d_j^k amp_j e^{-i s_j time}, f = Im(conj(S_0) S_1) and
         f' = |S_1|^2 - Re(conj(S_0) S_2), for d_j = s_j - c and any constant
@@ -196,7 +192,9 @@ def transmitted_integral(
     The amplitude factor is refined to settings.rel_tol on the support
     [kappa_c, 1] (`_support_cut`), from the uniform panels that resolve
     e^{-i kappa^2 time} there; QuadratureError is raised when that needs
-    more than settings.max_panels panels.  The opaque
+    more than settings.max_panels panels, and ValueError when kappa_c
+    rounds to 1, which leaves no support (at W = 1 from lam about 1e10,
+    where the cut's q_c - a falls below 1e-8).  The opaque
     suppression is factored out of the node amplitudes (log_scale = a * lam)
     so that they stay representable; calling the wave restores it.
     """
@@ -206,6 +204,9 @@ def transmitted_integral(
     log_scale = params.a * params.lam
     unit = replace(spec, norm=1.0)
     kappa_cut = _support_cut(unit, params)
+    if not kappa_cut < 1.0:
+        raise ValueError(f"the transmitted packet lies within double rounding of kappa = 1 "
+                         f"at lam = {params.lam:.6g}")
 
     def amplitude(kappa: np.ndarray) -> np.ndarray:
         mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)

@@ -100,6 +100,16 @@ def test_wide_barrier_at_matched_energies_runs_under_the_default_max_panels(tmp_
     assert row.panels_max < 100
 
 
+def test_barrier_too_wide_for_a_double_support_names_the_cause(tmp_path):
+    # at W = 1, lam = 1e10 the support cut kappa_c rounds to 1.0: the row
+    # fails on that cause, not inside the integrator on an empty interval
+    out = tmp_path / "widest.csv"
+    assert main(["single", "--lambda", "1e10", "--w-ratio", "1", "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note == ("failed: the transmitted packet lies within double rounding of "
+                        "kappa = 1 at lam = 1e+10")
+
+
 def test_config_that_sets_refine_tol_is_rejected(tmp_path, capsys):
     # the refinement always runs to two adjacent doubles; the old stopping
     # width is no longer a key

@@ -164,7 +164,8 @@ class TestRows:
             assert f"{row.tau_num:.10g}" == f"{cell.tau_num:.10g}"
 
     def test_unrefined_peak_noted(self, monkeypatch):
-        monkeypatch.setattr(wavepacket.TransmittedWave, "slope", lambda self, tau: 1.0)
+        monkeypatch.setattr(wavepacket.TransmittedWave, "slope_and_derivative",
+                            lambda self, tau: (1.0, -1.0))
         cfg = PeakSearchConfig(coarse_points=32)
         row = compute_row(100.0, 1.5, Spectrum(), cfg, QuadratureSettings())
         assert row.note == "unrefined: density slope does not fall from + to - across the argmax"
@@ -297,7 +298,8 @@ def test_committed_peak_digits_are_converged(experiment):
         tau_new = phase_time_moments(moments_closed_form(params), params)
         peak = peak_arrival(config.spectrum, params, config.peak, fine, tau_new)
         step = peak.taus[1] - peak.taus[0]
-        root = brentq(peak.wave.slope, peak.tau_peak - step, peak.tau_peak + step,
+        root = brentq(lambda tau: peak.wave.slope_and_derivative(tau)[0],
+                      peak.tau_peak - step, peak.tau_peak + step,
                       xtol=1e-300, rtol=4 * sys.float_info.epsilon)
         v_transit = transit_velocity(root, params)
         converged = {"tau_num": root, "v_transit": v_transit,
@@ -311,9 +313,11 @@ def test_committed_peak_digits_are_converged(experiment):
 def test_reproduce_script_regenerates_the_committed_files(tmp_path):
     # the regeneration step itself, from an uninstalled checkout: the
     # script writes all seven files under results/ in its working directory,
-    # the single point's trace among them (the blocked coarse scan, bytes)
+    # the single point's trace among them (the blocked coarse scan, bytes).
+    # RuntimeWarnings are errors: a numpy overflow or invalid value on a
+    # committed grid fails the run
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce.py")],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / "reproduce.py")],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,

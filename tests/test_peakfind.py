@@ -79,7 +79,7 @@ def test_slope_is_half_the_density_derivative(w, lam, tau):
     h = 1e-4 * tau
     below, _, above = wave.densities(tau - h, h, 3)
     diff = (above - below) / (2 * h)
-    assert 2.0 * wave.slope(tau) == pytest.approx(diff, rel=1e-7, abs=0.0)
+    assert 2.0 * wave.slope_and_derivative(tau)[0] == pytest.approx(diff, rel=1e-7, abs=0.0)
 
 
 def test_peak_scaling_invariance():
@@ -96,8 +96,8 @@ def test_peak_scaling_invariance():
 def _record_slope_evaluations(monkeypatch, evaluate=None):
     """Record (tau, f, f') at every slope evaluation, through `evaluate` if given.
 
-    `slope` is the first value of `slope_and_derivative`, so the record holds
-    the bracket test's two `slope` calls and every step of the refinement.
+    `_refine` evaluates the slope only through `slope_and_derivative`, so
+    the record holds the bracket test's two calls and every step after them.
     """
     real, calls = wavepacket.TransmittedWave.slope_and_derivative, []
     evaluate = evaluate or real
@@ -128,26 +128,29 @@ def test_final_bracket_is_two_adjacent_doubles(monkeypatch):
     # the refinement runs until the bracket has no double strictly inside
     # it; the slope still falls from + to - across it, and tau_peak, its
     # midpoint, rounds to one of its ends.  refine_iters counts the
-    # evaluations after the bracket test at tau_{i-1} and tau_{i+1}
+    # evaluations after the bracket test at tau_{i-1} and tau_{i+1}, and no
+    # tau is evaluated twice
     calls = _record_slope_evaluations(monkeypatch)
     for w, lam in sorted(ORACLE_PEAKS):
         calls.clear()
         result = peak_arrival(SPEC, DimensionlessParams(W=w, lam=lam))
         i = int(np.argmax(result.densities))
-        assert [tau for tau, _, _ in calls[:2]] == [result.taus[i - 1], result.taus[i + 1]]
+        taus = [tau for tau, _, _ in calls]
+        assert taus[:2] == [result.taus[i - 1], result.taus[i + 1]]
+        assert len(set(taus)) == len(taus)
         assert result.refined and result.refine_iters == len(calls) - 2
         _final_bracket(result, calls)
 
 
 @pytest.mark.parametrize("w,lam,tau", [(1.0, 100.0, 15.0), (1.0, 100.0, 30.0), (1.5, 100.0, 0.7)])
 def test_slope_derivative_matches_a_central_difference(w, lam, tau):
-    # f' of `slope_and_derivative` against a central difference of `slope`
-    # (measured within 9e-11 relative); its f is `slope` bit for bit
+    # f' of `slope_and_derivative` against a central difference of its f
+    # (measured within 9e-11 relative)
     wave = peak_arrival(SPEC, DimensionlessParams(W=w, lam=lam)).wave
     h = 1e-4 * tau
-    value, derivative = wave.slope_and_derivative(tau)
-    assert value == wave.slope(tau)
-    diff = (wave.slope(tau + h) - wave.slope(tau - h)) / (2 * h)
+    derivative = wave.slope_and_derivative(tau)[1]
+    above, below = wave.slope_and_derivative(tau + h)[0], wave.slope_and_derivative(tau - h)[0]
+    diff = (above - below) / (2 * h)
     assert derivative == pytest.approx(diff, rel=1e-7, abs=0.0)
 
 
@@ -267,7 +270,8 @@ def test_flat_top_with_a_falling_slope_is_refined(monkeypatch):
 def test_no_slope_sign_change_returned_unrefined(monkeypatch):
     # a unimodal three-point scan whose slope does not fall from + to -
     # across the bracket is not refined either
-    monkeypatch.setattr(wavepacket.TransmittedWave, "slope", lambda self, tau: 1.0)
+    monkeypatch.setattr(wavepacket.TransmittedWave, "slope_and_derivative",
+                        lambda self, tau: (1.0, -1.0))
     params = DimensionlessParams(W=1.0, lam=100.0)
     cfg = PeakSearchConfig(coarse_points=64)
     result = peak_arrival(SPEC, params, cfg)
