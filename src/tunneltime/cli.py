@@ -4,7 +4,8 @@ One parser: the experiment (table1, fig1, fig2, single), --config <path>
 and override flags whose dests are config keys; all values default to the
 reference configuration.  Exit codes: 0 success, 1 invalid config or an
 output file that cannot be written, 2 numerical failure, 3 partial
-success (some sweep points failed, noted in the CSV).
+success (some sweep points failed, noted in the CSV).  A point fails when
+its note starts with `failed:`, `window_hit` or `unrefined`.
 
 `main(argv)` is the library entry and leaves the garbage collector alone;
 the process entry (`python -m tunneltime`, the `tunneltime` script) is
@@ -100,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     failed = sum(
-        1 for r in rows if r.note.startswith(("failed:", "window_hit"))
+        1 for r in rows if r.note.startswith(("failed:", "window_hit", "unrefined"))
     )
     print(f"{config.experiment}: wrote {len(rows)} rows to {out}" +
           (f" ({failed} failed)" if failed else ""))

@@ -242,8 +242,9 @@ def compute_row(
     diverges; tau_new (moments) also fills the window: peak_arrival takes it
     for the unset bounds of the search for tau_num (simulated peak
     arrival).  Failures are captured in the note
-    column so that sweeps can continue; window hits are reported the same
-    way (the result is untrustworthy until the caller widens the window).
+    column so that sweeps can continue; window hits and unrefined peaks are
+    reported the same way (the result is untrustworthy until the caller
+    widens the window, or the peak is bracketed).
     With trace set, the row also carries the coarse scan of its peak search
     as (tau, density) pairs; a failed row carries none.
     """

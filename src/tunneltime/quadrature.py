@@ -47,13 +47,15 @@ def _gl_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureResult:
     """Accepted panels [lo_i, hi_i] of an adaptive refinement, and f on them.
 
     `values` holds each panel's n-node Gauss-Legendre integral (their sum is
     `value`); `nodes()` exposes the composite rule and `samples` holds f at
     its nodes in `nodes()` order, so f need not be evaluated there again.
+    Results compare and hash by identity: == over array fields has no
+    single truth value.
     """
 
     lo: np.ndarray

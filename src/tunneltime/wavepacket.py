@@ -102,7 +102,7 @@ def _support_cut(unit: Spectrum, params: DimensionlessParams) -> float:
     return math.sqrt((W - q_cut) * (W + q_cut))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmittedWave:
     """Phi_T(tau) at the exit on one composite Gauss-Legendre node set.
 
@@ -113,6 +113,8 @@ class TransmittedWave:
     The peak search reads the density's slope f = (1/2) d|Phi|^2/dtau
     with its derivative f' (`slope_and_derivative`, for its bracket test
     and each Newton step): one exponential per node, at unit norm.
+    Waves compare and hash by identity: == over array fields has no single
+    truth value.
     """
 
     s: np.ndarray

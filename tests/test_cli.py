@@ -110,6 +110,18 @@ def test_barrier_too_wide_for_a_double_support_names_the_cause(tmp_path):
                         "kappa = 1 at lam = 1e+10")
 
 
+def test_unrefined_row_counts_as_a_failed_point(tmp_path, capsys):
+    # at W = 1, lam = 1e8 the slope does not bracket the coarse argmax, and
+    # that grid argmax is far from the peak: the run must not read as a success
+    out, mixed = tmp_path / "unrefined.csv", tmp_path / "mixed.csv"
+    assert main(["single", "--lambda", "1e8", "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note.startswith("unrefined: ") and row.refine_iters == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    assert main(["table1", "--lambda", "50,1e8", "--out", str(mixed)]) == 3
+    assert [r.note.startswith("unrefined: ") for r in read_rows(mixed)] == [False, True]
+
+
 def test_config_that_sets_refine_tol_is_rejected(tmp_path, capsys):
     # the refinement always runs to two adjacent doubles; the old stopping
     # width is no longer a key

@@ -1,4 +1,5 @@
-"""The package namespace: every public name and submodule resolves on demand."""
+"""The package namespace: each public name has one import path, its home
+submodule, and a bare `import tunneltime` loads none of them."""
 
 import json
 import os
@@ -14,25 +15,17 @@ from tunneltime.experiments import build_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the submodules that resolve on the package after a bare `import tunneltime`
 SUBMODULES = ("peakfind", "phasetime", "quadrature", "spectrum", "transmission", "units", "wavepacket")
 
-# run in a fresh interpreter after nothing but `import tunneltime`; prints
-# one JSON object of findings
+# run in a fresh interpreter; prints one JSON object of findings
 PROBE = (
     "import importlib, json, sys\n"
     "import tunneltime\n"
-    "found = {'numpy_after_import': 'numpy' in sys.modules}\n"
-    "found['home_mismatch'] = [\n"
-    "    name for name in tunneltime.__all__\n"
-    "    if getattr(tunneltime, name) is not getattr(\n"
-    "        sys.modules[getattr(tunneltime, name).__module__], name)]\n"
-    "star = {}\n"
-    "exec('from tunneltime import *', star)\n"
-    "found['star_missing'] = sorted(set(tunneltime.__all__) - set(star))\n"
-    "found['star_mismatch'] = [n for n in tunneltime.__all__ if star.get(n) is not getattr(tunneltime, n)]\n"
+    "found = {'numpy_after_import': 'numpy' in sys.modules,\n"
+    "         'submodules_bound': sorted(n for n in sys.modules if n.startswith('tunneltime.'))}\n"
     "found['old_paths'] = [\n"
-    "    importlib.import_module('tunneltime.' + mod).__dict__[name] is getattr(tunneltime, name)\n"
+    "    importlib.import_module('tunneltime.' + mod).__dict__[name]\n"
+    "    is importlib.import_module('tunneltime.units').__dict__[name]\n"
     "    for mod, name in (('spectrum', 'Spectrum'), ('quadrature', 'QuadratureSettings'),\n"
     "                      ('peakfind', 'PeakSearchConfig'))]\n"
     "print(json.dumps(found))\n"
@@ -52,24 +45,25 @@ def _fresh(code: str) -> str:
 
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_bare_import_resolves_each_submodule(name):
-    # one interpreter per name: resolving any public name or submodule
-    # imports others along the way
-    assert _fresh(f"import tunneltime; print(tunneltime.{name}.__name__)").strip() == f"tunneltime.{name}"
+    # the from-import loads the bare package, then the submodule through the
+    # import system; one interpreter per name, as a submodule imports others
+    code = f"from tunneltime import {name}; print({name}.__name__)"
+    assert _fresh(code).strip() == f"tunneltime.{name}"
 
 
-def test_bare_import_resolves_every_public_name():
-    found = json.loads(_fresh(PROBE))
-    assert found == {
+def test_bare_import_loads_no_submodule_and_old_class_paths_hold():
+    assert json.loads(_fresh(PROBE)) == {
         "numpy_after_import": False,
-        "home_mismatch": [],
-        "star_missing": [],
-        "star_mismatch": [],
+        "submodules_bound": [],
         "old_paths": [True, True, True],
     }
 
 
-def test_dir_lists_public_names_and_submodules():
-    assert set(tunneltime.__all__) | set(SUBMODULES) <= set(dir(tunneltime))
+def test_public_names_are_not_on_the_package():
+    with pytest.raises(AttributeError, match="Spectrum"):
+        tunneltime.Spectrum  # noqa: B018
+    with pytest.raises(ImportError, match="Spectrum"):
+        exec("from tunneltime import Spectrum", {})
 
 
 def test_unknown_name_raises_attribute_error():

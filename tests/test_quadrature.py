@@ -140,3 +140,10 @@ def test_accepted_panels_tile_interval_and_integrate_f():
     assert rule.value == complex(rule.values.sum())
     assert rule.value == pytest.approx(exact, rel=1e-8)
     assert np.sum(w * rule.samples) == pytest.approx(exact, rel=1e-8)
+
+
+def test_results_compare_and_hash_by_identity():
+    first, second = (integrate_adaptive(np.cos, 0.0, 1.0) for _ in range(2))
+    assert first != second
+    assert first == first
+    assert hash(first) != hash(second)

@@ -118,3 +118,10 @@ def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
     assert (wave.kappa_cut > 0.0) == cut
     if cut:  # at a = 0, 1 - kappa_c^2 = q_c^2 with lam q_c = 63 (500), 69 (3000)
         assert 1.0 - wave.kappa_cut**2 < (80.0 / lam) ** 2
+
+
+def test_waves_compare_and_hash_by_identity():
+    first, second = (transmitted_integral(Spectrum(), REFERENCE, 21.41) for _ in range(2))
+    assert first != second
+    assert first == first
+    assert hash(first) != hash(second)
