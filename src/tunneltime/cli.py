@@ -2,10 +2,12 @@
 
 One parser: the experiment (table1, fig1, fig2, single), --config <path>
 and override flags whose dests are config keys; all values default to the
-reference configuration.  Exit codes: 0 success, 1 invalid config or an
-output file that cannot be written, 2 numerical failure, 3 partial
-success (some sweep points failed, noted in the CSV).  A point fails when
-its note starts with `failed:`, `window_hit` or `unrefined`.
+reference configuration.  `main` maps argv to a config and the rows to an
+exit code; `experiments` owns the rest (the run, its files and which
+point failed).  Exit codes: 0 success, 1 invalid config or an output file
+that cannot be written, 2 numerical failure (every point failed), 3
+partial success (some points failed, noted in the CSV); a point fails
+when `ResultRow.failed` says so.
 
 `main(argv)` is the library entry and leaves the garbage collector alone;
 the process entry (`python -m tunneltime`, the `tunneltime` script) is
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .experiments import (
     EXPERIMENTS,
@@ -25,10 +26,7 @@ from .experiments import (
     build_config,
     read_config_file,
     run_experiment,
-    trace_path,
-    write_plot_script,
-    write_rows,
-    write_trace,
+    write_outputs,
 )
 
 EXIT_OK = 0
@@ -86,23 +84,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"tunneltime: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows, trace = run_experiment(config)
-
-    out = config.out or Path(f"{config.experiment}.csv")
+    rows, _ = run_experiment(config)
     try:
-        write_rows(out, rows)
-        if trace is not None:
-            write_trace(trace_path(out), trace)
-        if config.plot_script:
-            write_plot_script(out.with_suffix(out.suffix + ".gnuplot"), out, config.experiment)
+        out = write_outputs(config, rows)
     except OSError as exc:
-        print(f"tunneltime: cannot write {exc.filename or out}: {exc.strerror or exc}",
-              file=sys.stderr)
+        print(f"tunneltime: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    failed = sum(
-        1 for r in rows if r.note.startswith(("failed:", "window_hit", "unrefined"))
-    )
+    failed = sum(r.failed for r in rows)
     print(f"{config.experiment}: wrote {len(rows)} rows to {out}" +
           (f" ({failed} failed)" if failed else ""))
     if failed == len(rows):

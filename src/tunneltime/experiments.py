@@ -18,8 +18,10 @@ config is built and checked without numpy, which loads with the first
 grid point (`compute_row`).  Output is deterministic CSV laid out by
 `_COLUMNS`: unit-annotated header, 10 significant digits, empty cells for
 undefined entries (never 0), one note column for divergences and per-row
-failures.  Assembly stays in grid order so identical configs give
-byte-identical files.
+failures (`ResultRow.failed` reads it).  Assembly stays in grid order so
+identical configs give byte-identical files.  `write_outputs` owns the
+files a run leaves: the CSV, and the trace and gnuplot script the config
+asks for.
 """
 
 from __future__ import annotations
@@ -147,11 +149,16 @@ class ResultRow:
     note: str = ""
     trace: list[tuple[float, float]] | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def failed(self) -> bool:
+        """No result, or a tau_num that is not the peak to its printed digits."""
+        return self.note.startswith(("failed:", "window_hit", "unrefined"))
+
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat key = value config file; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a key
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
@@ -263,7 +270,7 @@ def compute_row(
         ratio_ana_num = 100.0 * phasetime.transit_velocity(tau_new, params) / v_transit
     except (QuadratureError, ValueError) as exc:
         return ResultRow(lam=lam, w=w, note=f"failed: {exc}")
-    # the peak-search note goes first: the CLI counts failed rows by prefix
+    # the peak-search note goes first: ResultRow.failed reads the prefix
     notes = []
     if peak.window_hit:
         notes.append("window_hit: peak at search boundary, widen tau_min/tau_max")
@@ -303,11 +310,13 @@ def _cell(value: float | int | str | None) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def write_rows(path: str | Path, rows: list[ResultRow]) -> None:
+def _write_csv(path: str | Path, header: tuple[str, ...], records) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([_cell(getattr(r, name)) for _, name, _ in _COLUMNS] for r in rows)
+        csv.writer(fh, lineterminator="\n").writerows([header, *records])
+
+
+def write_rows(path: str | Path, rows: list[ResultRow]) -> None:
+    _write_csv(path, CSV_HEADER, ([_cell(getattr(r, n)) for _, n, _ in _COLUMNS] for r in rows))
 
 
 def read_rows(path: str | Path) -> list[ResultRow]:
@@ -324,10 +333,7 @@ def read_rows(path: str | Path) -> list[ResultRow]:
 
 
 def write_trace(path: str | Path, trace: list[tuple[float, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        writer.writerows([_cell(tau), _cell(density)] for tau, density in trace)
+    _write_csv(path, TRACE_HEADER, ([_cell(tau), _cell(density)] for tau, density in trace))
 
 
 def trace_path(out: Path) -> Path:
@@ -353,6 +359,29 @@ def write_plot_script(path: Path, csv_path: Path, experiment: str) -> None:
             f'plot "{csv_path.name}" using 1:6 with linespoints title "v_transit"\n'
         )
     path.write_text("# gnuplot script (skip the CSV header with every ::1)\n" + body)
+
+
+def write_outputs(config: ExperimentConfig, rows: list[ResultRow]) -> Path:
+    """Write a run's files; returns the CSV path.
+
+    The CSV goes to config.out (default ``<experiment>.csv``).  With
+    config.trace set, the row's trace goes beside it (`trace_path`), header
+    only when the row failed and carries none, so no earlier run's trace
+    is left in place; with config.plot_script, a gnuplot script goes to
+    ``<csv>.gnuplot``.  An OSError raised here names a file: the CSV when
+    the failing call named none (a write or close that runs out of space).
+    """
+    out = config.out or Path(f"{config.experiment}.csv")
+    try:
+        write_rows(out, rows)
+        if config.trace:
+            write_trace(trace_path(out), rows[0].trace or [])
+        if config.plot_script:
+            write_plot_script(out.with_suffix(out.suffix + ".gnuplot"), out, config.experiment)
+    except OSError as exc:
+        exc.filename = exc.filename or out
+        raise
+    return out
 
 
 def run_experiment(config: ExperimentConfig):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tunneltime import experiments
 from tunneltime.cli import build_parser, main
 from tunneltime.experiments import _KEYS, read_rows
 
@@ -30,6 +32,17 @@ def test_trace_flag_writes_companion_file(tmp_path):
     trace = tmp_path / "row_trace.csv"
     assert trace.exists()
     assert trace.read_text().startswith("tau[hbar/E_M],density[arb]")
+
+
+def test_failed_trace_run_leaves_no_earlier_trace_in_place(tmp_path):
+    # the trace file always belongs to the run that wrote the CSV beside it
+    out, trace = tmp_path / "x.csv", tmp_path / "x_trace.csv"
+    assert main(["single", "--lambda", "100", "--trace", "--out", str(out)]) == 0
+    assert len(trace.read_text().splitlines()) == 257
+    assert main(["single", "--lambda", "1e7", "--trace", "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note.startswith("failed:")
+    assert trace.read_text() == "tau[hbar/E_M],density[arb]\n"
 
 
 def test_plot_script_emission(tmp_path):
@@ -184,6 +197,15 @@ def test_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_a_utf8_byte_order_mark_runs(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("lambda = 100\n".encode("utf-8-sig"))
+    out = tmp_path / "row.csv"
+    assert main(["single", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert row.lam == 100.0
+
+
 @pytest.mark.parametrize(
     "line", ["tau_min = nan", "tau_max = inf", "rel_tol = inf"]
 )
@@ -273,6 +295,18 @@ def test_unwritable_output_is_reported_not_raised(tmp_path, capsys):
     assert main(["single", "--lambda", "30", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"tunneltime: cannot write {out}: ")
     assert not out.parent.exists()
+
+
+def test_write_error_without_a_file_name_names_the_csv(tmp_path, capsys, monkeypatch):
+    # a write or close that runs out of space raises an OSError with no filename
+    def full_disk(path, rows):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(experiments, "write_rows", full_disk)
+    out = tmp_path / "row.csv"
+    assert main(["single", "--lambda", "30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"tunneltime: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_cli_import_loads_no_scipy():

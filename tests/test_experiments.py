@@ -18,12 +18,14 @@ from tunneltime.experiments import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    ResultRow,
     build_config,
     compute_row,
     density_trace,
     read_config_file,
     read_rows,
     run_experiment,
+    write_outputs,
     write_rows,
     write_trace,
 )
@@ -223,6 +225,42 @@ class TestCsv:
         assert back[0].tau_spm is None
         assert back[0].tau_num == pytest.approx(row.tau_num, rel=1e-9)
         assert back[0].note == row.note
+
+    @pytest.mark.parametrize(
+        ("note", "failed"),
+        [
+            ("failed: exit density is 0 on the search window", True),
+            ("window_hit: peak at search boundary, widen tau_min/tau_max", True),
+            ("unrefined: density slope does not fall from + to - across the argmax; "
+             "tau_spm diverges (E_M = V0)", True),
+            ("tau_spm diverges (E_M = V0)", False),
+        ],
+    )
+    def test_failed_point_rule_survives_the_round_trip(self, tmp_path, note, failed):
+        row = ResultRow(lam=100.0, w=1.0, note=note)
+        path = tmp_path / "rows.csv"
+        write_rows(path, [row])
+        (back,) = read_rows(path)
+        assert row.failed is failed and back.failed is failed
+
+    @pytest.mark.parametrize(
+        ("experiment", "key", "files"),
+        [
+            ("fig2", "plot_script", {"fig2.csv", "fig2.csv.gnuplot"}),
+            ("single", "trace", {"single.csv", "single_trace.csv"}),
+        ],
+    )
+    def test_write_outputs_writes_the_files_the_config_asks_for(
+        self, tmp_path, monkeypatch, experiment, key, files
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = build_config(experiment, {key: "true"})
+        rows = [ResultRow(lam=100.0, w=1.0, trace=[(1.0, 0.5)])]
+        assert write_outputs(config, rows) == Path(f"{experiment}.csv")
+        assert {p.name for p in tmp_path.iterdir()} == files
+        if key == "trace":
+            assert (tmp_path / "single_trace.csv").read_text() == (
+                "tau[hbar/E_M],density[arb]\n1,0.5\n")
 
     @pytest.mark.parametrize("experiment", ["table1", "fig1", "fig2"])
     def test_committed_results_round_trip_byte_for_byte(self, tmp_path, experiment):
