@@ -105,22 +105,23 @@ def moments_quadrature(
     params: DimensionlessParams,
     settings: QuadratureSettings | None = None,
 ) -> MomentTable:
-    """Moments with the finite upper limit rho_max = W - a, by quadrature."""
+    """Moments with the finite upper limit rho_max = W - a, by quadrature.
+
+    One adaptive refinement of f0(rho) = (rho + a)^2 e^{-rho lam} on
+    [0, rho_max]; s(n) = sum_j w_j rho_j^n f0(rho_j) on its accepted rule,
+    with s0 its integral.
+    """
     if not params.lam > 0.0:
         raise ValueError("moments diverge at lam = 0")
     settings = settings or QuadratureSettings(rel_tol=1e-10)
     a, lam = params.a, params.lam
-    rho_max = params.W - a
-    s = []
-    for n in range(5):
-        res = integrate_adaptive(
-            lambda rho, n=n: (rho + a) ** 2 * rho**n * np.exp(-rho * lam),
-            0.0,
-            rho_max,
-            settings,
-        )
-        s.append(res.value.real)
-    return MomentTable(*s, lam=lam)
+    rule = integrate_adaptive(
+        lambda rho: (rho + a) ** 2 * np.exp(-rho * lam), 0.0, params.W - a, settings
+    )
+    rho, weights = rule.nodes()
+    # einsum, not `@`: no BLAS call, as in `quadrature._panel_integrals`
+    s = np.einsum("ij,j->i", rho ** np.arange(1, 5)[:, None], weights * rule.samples.real)
+    return MomentTable(rule.value.real, *s.tolist(), lam=lam)
 
 
 def model_density(moments: MomentTable, params: DimensionlessParams, tau: float) -> float:

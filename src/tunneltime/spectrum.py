@@ -37,6 +37,8 @@ def transmitted_mean_k(
 ) -> float:
     """Mean transmitted momentum ratio, Int k g^2 |T|^2 / Int g^2 |T|^2.
 
+    g^2 |T|^2 is refined once on [0, 1]: the denominator is its integral and
+    the numerator sum_j w_j kappa_j g^2 |T|^2 (kappa_j) on the same rule.
     Both integrals carry the common e^{-2 q_M L} suppression factored out
     (the ratio is invariant), so opaque configurations stay representable.
     Raises ValueError on a vanishing denominator (degenerate spectrum).
@@ -48,8 +50,10 @@ def transmitted_mean_k(
         mod, _ = transmission.modulus_phase(kappa, params, log_scale=log_scale)
         return (evaluate(spec, kappa) * mod) ** 2
 
-    den = integrate_adaptive(weight, 0.0, 1.0, settings).value.real
-    num = integrate_adaptive(lambda k: k * weight(k), 0.0, 1.0, settings).value.real
+    rule = integrate_adaptive(weight, 0.0, 1.0, settings)
+    den = rule.value.real
+    # sum of kappa * w * f by einsum: no BLAS call, as in `quadrature._panel_integrals`
+    num = float(np.einsum("j,j,j->", *rule.nodes(), rule.samples.real))
     if den <= 0.0:
         raise ValueError("vanishing denominator in transmitted mean momentum")
     return num / den

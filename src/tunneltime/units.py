@@ -71,9 +71,10 @@ class DimensionlessParams:
     lam: float
 
     def __post_init__(self) -> None:
-        # `not (... < inf)` also rejects nan, which fails every comparison
-        if not 1.0 <= self.W < math.inf:
-            raise ValueError(f"W = sqrt(V0/E_M) must be finite and >= 1, got {self.W}")
+        # a squares W; past sqrt(max double) ~ 1.34e154 that overflows.
+        # `not (...)` also rejects nan, which fails every comparison
+        if not (1.0 <= self.W and math.isfinite(self.W * self.W)):
+            raise ValueError(f"W = sqrt(V0/E_M) must be >= 1 with a finite square, got {self.W}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lam = k_M*L must be finite and >= 0, got {self.lam}")
 
@@ -119,8 +120,9 @@ class QuadratureSettings:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.nodes_per_panel < 8:
-            raise ValueError("nodes_per_panel must be >= 8")
+        # the rule comes from a dense n x n eigenproblem, checked up to n = 128
+        if not 8 <= self.nodes_per_panel <= 128:
+            raise ValueError(f"nodes_per_panel must be in [8, 128], got {self.nodes_per_panel}")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
         if not 0.0 < self.rel_tol < math.inf:

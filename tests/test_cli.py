@@ -179,6 +179,15 @@ def test_grid_the_experiment_cannot_run_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_w_ratio_whose_square_overflows_is_rejected_naming_w(tmp_path, capsys):
+    # a = sqrt((W - 1)(W + 1)) is inf past W ~ 1.34e154
+    out = tmp_path / "rejected.csv"
+    assert main(["single", "--lambda", "100", "--w-ratio", "1e200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "tunneltime: invalid config: W = sqrt(V0/E_M) must be >= 1 with a finite square" in err
+    assert not out.exists()
+
+
 def test_largest_delta_still_runs_to_an_underflowed_row(tmp_path):
     # delta = 1e154 squares to a double; g underflows to 0 away from kappa0,
     # so the row fails on its density, as a numerical failure

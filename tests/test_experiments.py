@@ -92,6 +92,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config("table1", {"lambda": ""})
 
+    def test_nodes_per_panel_is_capped_at_128(self):
+        # _gl_nodes solves a dense n x n eigenproblem; only the bound is run
+        assert build_config("single", {"nodes_per_panel": "128"}).quadrature.nodes_per_panel == 128
+        with pytest.raises(ConfigError, match=r"nodes_per_panel must be in \[8, 128\], got 129"):
+            build_config("single", {"nodes_per_panel": "129"})
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
+from tunneltime import phasetime
 from tunneltime.phasetime import (
     MomentTable,
     model_density,
@@ -19,6 +20,7 @@ from tunneltime.phasetime import (
     s_coefficients,
     transit_velocity,
 )
+from tunneltime.quadrature import integrate_adaptive
 from tunneltime.transmission import modulus_phase
 from tunneltime.units import DimensionlessParams
 
@@ -84,8 +86,10 @@ class TestMoments:
 
     def test_quadrature_matches_incomplete_gamma(self):
         # finite upper limit R: Int_0^R rho^m e^{-lam rho} = Gamma(m+1) P(m+1, lam R)/lam^{m+1}
-        # (measured: at most 2.5e-15 relative, at W = 2, lam = 100)
-        for W, lam in [(1.0, 10.0), (1.5, 40.0), (3.0, 25.0), (1.0, 500.0), (2.0, 100.0)]:
+        # (measured: at most 1.0e-14 relative, at W = 1, lam = 0.01)
+        grid = [(1.0, 10.0), (1.5, 40.0), (3.0, 25.0), (1.0, 500.0), (2.0, 100.0),
+                (1.0, 1e5), (1.0, 0.01)]
+        for W, lam in grid:
             params = DimensionlessParams(W=W, lam=lam)
             a, R = params.a, W - params.a
             table = moments_quadrature(params)
@@ -96,6 +100,17 @@ class TestMoments:
             for n, s in enumerate(table.values):
                 closed = part(n + 2) + 2 * a * part(n + 1) + a * a * part(n)
                 assert s == pytest.approx(closed, rel=1e-12)
+
+    def test_quadrature_refines_one_integrand_for_all_five_moments(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(phasetime, "integrate_adaptive", counting)
+        moments_quadrature(DimensionlessParams(W=2.0, lam=100.0))
+        assert len(calls) == 1
 
     def test_quadrature_vs_closed_form_tail(self):
         # relative gap is the truncated tail ~ e^{-lam R} with a prefactor

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tunneltime.quadrature import QuadratureSettings
+from tunneltime import spectrum
+from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
 from tunneltime.spectrum import Spectrum, evaluate, mean_k_opaque, transmitted_mean_k
 from tunneltime.units import DimensionlessParams
 
@@ -64,6 +65,18 @@ def test_mean_k_filter_effect_against_trapezoid_oracle():
     assert mk > 0.99
     mk2 = transmitted_mean_k(spec, DimensionlessParams(W=math.sqrt(2.0), lam=100.0))
     assert mk2 == pytest.approx(MEAN_K_WSQRT2_LAM100, rel=1e-10)
+
+
+def test_mean_k_refines_one_integrand_for_both_integrals(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "integrate_adaptive", counting)
+    transmitted_mean_k(Spectrum(), DimensionlessParams(W=1.0, lam=100.0))
+    assert len(calls) == 1
 
 
 def test_mean_k_degenerate_spectrum_raises():
