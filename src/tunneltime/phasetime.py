@@ -42,21 +42,26 @@ from .units import DimensionlessParams, QuadratureSettings
 _FACT = [math.factorial(n + 2) for n in range(5)]
 
 
+def _point(params: DimensionlessParams) -> str:
+    """`W = .., lam = ..` for a moment failure: (a lam)^2 can overflow through either."""
+    return f"W = {params.W:g}, lam = {params.lam:g}"
+
+
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments s(0)..s(4) of the edge integral at the width lam."""
+    """Moments s(0)..s(4) of the edge integral at the point (W, lam)."""
 
     s0: float
     s1: float
     s2: float
     s3: float
     s4: float
-    lam: float
+    params: DimensionlessParams
 
     def __post_init__(self) -> None:
         # `< inf` also rejects nan, which fails every comparison
         if not all(0.0 < s < math.inf for s in self.values):
-            raise ValueError(f"all moments must be positive and finite (lam = {self.lam:g})")
+            raise ValueError(f"all moments must be positive and finite ({_point(self.params)})")
 
     @property
     def values(self) -> tuple[float, float, float, float, float]:
@@ -69,10 +74,10 @@ class MomentTable:
         return self.check_finite(s1 * s1 - s0 * s2, s1 * s2 - s0 * s3, s2 * s2 - s0 * s4)
 
     def check_finite(self, *values: float) -> tuple[float, ...]:
-        """values formed from the moments; ValueError naming lam if one is not finite."""
+        """values formed from the moments; ValueError naming W and lam if one is not finite."""
         if all(map(math.isfinite, values)):
             return values
-        raise ValueError(f"moment combinations overflow the float range at lam = {self.lam:g}")
+        raise ValueError(f"moment combinations overflow the float range at {_point(self.params)}")
 
 
 def s_coefficients(params: DimensionlessParams, tau: float) -> tuple[float, float]:
@@ -97,8 +102,8 @@ def moments_closed_form(params: DimensionlessParams) -> MomentTable:
             for n in range(5)
         ]
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"closed-form moments leave the float range at lam = {lam:g}") from None
-    return MomentTable(*s, lam=lam)
+        raise ValueError(f"closed-form moments leave the float range at {_point(params)}") from None
+    return MomentTable(*s, params)
 
 
 def moments_quadrature(
@@ -121,7 +126,7 @@ def moments_quadrature(
     rho, weights = rule.nodes()
     # einsum, not `@`: no BLAS call, as in `quadrature._panel_integrals`
     s = np.einsum("ij,j->i", rho ** np.arange(1, 5)[:, None], weights * rule.samples.real)
-    return MomentTable(rule.value.real, *s.tolist(), lam=lam)
+    return MomentTable(rule.value.real, *s.tolist(), params)
 
 
 def model_density(moments: MomentTable, params: DimensionlessParams, tau: float) -> float:
@@ -141,8 +146,7 @@ def model_density_argmax(moments: MomentTable, params: DimensionlessParams) -> f
     """
     a = params.a
     A, B, C = moments.combinations()
-    W2 = params.W**2
-    num = 4.0 * a * A + 2.0 * W2 * B + a * C
+    num = 4.0 * a * A + 2.0 * params.W**2 * B + a * C
     den = 4.0 * a * a * A + 4.0 * a * B + C
     moments.check_finite(num, den)
     if den == 0.0:
@@ -158,8 +162,7 @@ def phase_time_moments(moments: MomentTable, params: DimensionlessParams) -> flo
     """
     a = params.a
     A, B, C = moments.combinations()
-    W2 = params.W**2
-    num = 2.0 * W2 * B + 4.0 * a * A
+    num = 2.0 * params.W**2 * B + 4.0 * a * A
     den = C + 4.0 * a * B + 4.0 * a * a * A
     # 2 W^2 B is -inf at W ~ 1e16 a little above lam ~ 1e-31
     moments.check_finite(num, den)

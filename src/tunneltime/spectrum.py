@@ -12,6 +12,8 @@ mean of kappa; in the opaque limit it collapses onto the cutoff as
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import transmission
@@ -30,33 +32,82 @@ def evaluate(spec: Spectrum, kappa):
     return out
 
 
+def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
+    """Largest kappa_c whose cut [0, kappa_c] drops at most eps/2 * sum|amp|.
+
+    The support of every transmitted integral, refined on [kappa_c, 1]:
+    the engine (`wavepacket.transmitted_integral`) and `transmitted_mean_k`.
+    With x = lam (q - a), q = sqrt(W^2 - kappa^2), `transmission._kernel`
+    gives e^{-x} / sqrt(1 + b^2) <= |T| e^{a lam} <= 2 e^{-x}: its
+    denominator lies between 1 and 2 sqrt(1 + b^2).  On [0, kappa_c] the
+    mass of g |T| is therefore at most 2 max(g) e^{-x_c}.  On [kappa_1, 1],
+    where x <= 1, it is at least (1 - kappa_1) min(g) e^{-1} / sqrt(1 + b^2)
+    with g and |b| = |2 kappa^2 - W^2| lam / (2 kappa) at their extremes,
+    which they take at the endpoints.  The cut is the smallest x_c at which
+    the upper bound meets eps/2 times the lower one.  Both bounds scale
+    with the norm, so they are taken at norm 1 and kappa_c does not depend
+    on it.  Returns 0 when no cut can be certified: x_c reaches
+    lam (W - a) (kappa = 0), or the lower bound underflows.  Raises
+    ValueError when kappa_c rounds to 1, which leaves no support (at W = 1
+    from lam about 1e10, where the cut's q_c - a falls below 1e-8).
+    """
+    W, lam, a = params.W, params.lam, params.a
+    reach = lam * (W - a)  # x at kappa = 0
+    if not reach > 1.0:
+        return 0.0
+    q1 = a + 1.0 / lam
+    kappa1 = math.sqrt((W - q1) * (W + q1))
+    unit = Spectrum(spec.kappa0, spec.delta)
+    g = min(evaluate(unit, kappa1), evaluate(unit, 1.0))
+    b = max(abs(2.0 * k * k - W * W) * lam / (2.0 * k) for k in (kappa1, 1.0))
+    # 1 - kappa_1 = (1 - kappa_1^2) / (1 + kappa_1) = (q_1 - a)(q_1 + a) / (1 + kappa_1)
+    width = (q1 + a) / (lam * (1.0 + kappa1))
+    lower = width * g * math.exp(-1.0) / math.sqrt(1.0 + b * b)
+    if not lower > 0.0:
+        return 0.0
+    x_cut = math.log(4.0 / np.finfo(float).eps) - math.log(lower)  # 2 e^{-x} = eps/2 * lower
+    if x_cut >= reach:
+        return 0.0
+    q_cut = a + x_cut / lam
+    if (kappa_cut := math.sqrt((W - q_cut) * (W + q_cut))) < 1.0:
+        return kappa_cut
+    raise ValueError(f"the transmitted packet lies within double rounding of kappa = 1 "
+                     f"at lam = {lam:.6g}")
+
+
 def transmitted_mean_k(
     spec: Spectrum,
     params: DimensionlessParams,
     settings: QuadratureSettings | None = None,
 ) -> float:
-    """Mean transmitted momentum ratio, Int k g^2 |T|^2 / Int g^2 |T|^2.
+    """Mean transmitted momentum ratio, Int k g^2 |T|^2 / Int g^2 |T|^2, in (0, 1].
 
-    g^2 |T|^2 is refined once on [0, 1]: the denominator is its integral and
-    the numerator sum_j w_j kappa_j g^2 |T|^2 (kappa_j) on the same rule.
-    Both integrals carry the common e^{-2 q_M L} suppression factored out
-    (the ratio is invariant), so opaque configurations stay representable.
-    Raises ValueError on a vanishing denominator (degenerate spectrum).
+    g^2 |T|^2 is refined once on the support [kappa_c, 1] (`support_cut`,
+    the engine's): the denominator is its integral, and the gap
+    1 - mean = sum_j w_j (1 - kappa_j) g^2 |T|^2 (kappa_j) / denominator
+    comes from the same rule, so it keeps its digits as the mean nears
+    the cutoff (1 - mean ~ 2.2 / lam^2 at W = 1).  Both integrals
+    carry the common e^{-2 q_M L} suppression factored out (the ratio is
+    invariant), so opaque configurations stay representable.  Raises
+    ValueError on a vanishing denominator (a spectrum of norm 0), and the
+    `support_cut` ValueError when the support rounds to kappa = 1; a
+    refinement past settings.max_panels raises QuadratureError.
     """
-    settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
 
     def weight(kappa: np.ndarray) -> np.ndarray:
         mod, _ = transmission.modulus_phase(kappa, params, log_scale=log_scale)
         return (evaluate(spec, kappa) * mod) ** 2
 
-    rule = integrate_adaptive(weight, 0.0, 1.0, settings)
+    rule = integrate_adaptive(weight, support_cut(spec, params), 1.0, settings)
     den = rule.value.real
-    # sum of kappa * w * f by einsum: no BLAS call, as in `quadrature._panel_integrals`
-    num = float(np.einsum("j,j,j->", *rule.nodes(), rule.samples.real))
+    kappa, weights = rule.nodes()
+    # sum of (1 - kappa) * w * f: 1 - num/den would cancel near the cutoff.
+    # einsum: no BLAS call, as in `quadrature._panel_integrals`
+    gap = float(np.einsum("j,j,j->", 1.0 - kappa, weights, rule.samples.real))
     if den <= 0.0:
         raise ValueError("vanishing denominator in transmitted mean momentum")
-    return num / den
+    return 1.0 - gap / den
 
 
 def mean_k_opaque(params: DimensionlessParams) -> float:

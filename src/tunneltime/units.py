@@ -138,8 +138,11 @@ class PeakSearchConfig:
     coarse_points: int = 256
 
     def __post_init__(self) -> None:
-        if self.coarse_points < 16:
-            raise ValueError("coarse_points must be >= 16")
+        # 2^16: the scan costs coarse_points x nodes complex products per
+        # point (some 4e7 at 600 nodes), and `peak_arrival` holds that many
+        # taus and densities
+        if not 16 <= self.coarse_points <= 65536:
+            raise ValueError(f"coarse_points must be in [16, 65536], got {self.coarse_points}")
         for bound in (self.tau_min, self.tau_max):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError(f"tau_min and tau_max must be finite, got {bound}")

@@ -19,8 +19,9 @@ accepted panel is at most half a seed panel, n/4 rad, where the n-point
 Gauss-Legendre error on the chirp is about (e/32)^{2n} (Abramowitz &
 Stegun 25.4).  Near E_M = V0 the barrier filters the packet onto a thin strip
 below the cutoff, so the refinement runs on the support [kappa_c, 1] only
-(`_support_cut`): kappa_c comes from bounds on |T| alone, and the mass it
-drops moves Phi_T by at most eps/2 * sum|amp| (eps the machine epsilon;
+(`spectrum.support_cut`, which `spectrum.transmitted_mean_k` shares):
+kappa_c comes from bounds on |T| alone, and the mass it drops moves
+Phi_T by at most eps/2 * sum|amp| (eps the machine epsilon;
 |Phi_T| ~ sum|amp| at the peak).  amp_j is each accepted node's weight
 times the factor the refinement evaluated there, and Phi_T(tau) costs one
 exponential per node and sample.  At W = 1, lam = 500: 10 panels on
@@ -65,41 +66,6 @@ _BLOCK = 16
 def _initial_panels(phase: float, nodes_per_panel: int) -> int:
     """Panels of at most nodes_per_panel / 2 rad each over a chirp phase span."""
     return max(1, math.ceil(abs(phase) / (0.5 * nodes_per_panel)))
-
-
-def _support_cut(unit: Spectrum, params: DimensionlessParams) -> float:
-    """Largest kappa_c whose cut [0, kappa_c] drops at most eps/2 * sum|amp|.
-
-    With x = lam (q - a), q = sqrt(W^2 - kappa^2), `transmission._kernel`
-    gives e^{-x} / sqrt(1 + b^2) <= |T| e^{a lam} <= 2 e^{-x}: its
-    denominator lies between 1 and 2 sqrt(1 + b^2).  On [0, kappa_c] the
-    mass is therefore at most 2 max(g) e^{-x_c}.  On [kappa_1, 1], where
-    x <= 1, the mass is at least (1 - kappa_1) min(g) e^{-1} / sqrt(1 + b^2)
-    with g and |b| = |2 kappa^2 - W^2| lam / (2 kappa) at their extremes,
-    which they take at the endpoints.  The cut is the smallest x_c at which
-    the upper bound meets eps/2 times the lower one.  Both bounds scale
-    with the norm, so `unit` has norm 1 and kappa_c does not depend on
-    it.  Returns 0 when no cut can be certified: x_c reaches
-    lam (W - a) (kappa = 0), or the lower bound underflows.
-    """
-    W, lam, a = params.W, params.lam, params.a
-    reach = lam * (W - a)  # x at kappa = 0
-    if not reach > 1.0:
-        return 0.0
-    q1 = a + 1.0 / lam
-    kappa1 = math.sqrt((W - q1) * (W + q1))
-    g = min(_spectrum.evaluate(unit, kappa1), _spectrum.evaluate(unit, 1.0))
-    b = max(abs(2.0 * k * k - W * W) * lam / (2.0 * k) for k in (kappa1, 1.0))
-    # 1 - kappa_1 = (1 - kappa_1^2) / (1 + kappa_1) = (q_1 - a)(q_1 + a) / (1 + kappa_1)
-    width = (q1 + a) / (lam * (1.0 + kappa1))
-    lower = width * g * math.exp(-1.0) / math.sqrt(1.0 + b * b)
-    if not lower > 0.0:
-        return 0.0
-    x_cut = math.log(4.0 / np.finfo(float).eps) - math.log(lower)  # 2 e^{-x} = eps/2 * lower
-    if x_cut >= reach:
-        return 0.0
-    q_cut = a + x_cut / lam
-    return math.sqrt((W - q_cut) * (W + q_cut))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,11 +158,10 @@ def transmitted_integral(
     """Transmitted wave at the exit for every |tau| <= |time|.
 
     The amplitude factor is refined to settings.rel_tol on the support
-    [kappa_c, 1] (`_support_cut`), from the uniform panels that resolve
-    e^{-i kappa^2 time} there; QuadratureError is raised when that needs
-    more than settings.max_panels panels, and ValueError when kappa_c
-    rounds to 1, which leaves no support (at W = 1 from lam about 1e10,
-    where the cut's q_c - a falls below 1e-8).  The opaque
+    [kappa_c, 1] (`spectrum.support_cut`), from the uniform panels that
+    resolve e^{-i kappa^2 time} there; QuadratureError is raised when that
+    needs more than settings.max_panels panels, and `support_cut`'s
+    ValueError when kappa_c rounds to 1, which leaves no support.  The opaque
     suppression is factored out of the node amplitudes (log_scale = a * lam)
     so that they stay representable; calling the wave restores it.
     """
@@ -205,10 +170,7 @@ def transmitted_integral(
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
     unit = replace(spec, norm=1.0)
-    kappa_cut = _support_cut(unit, params)
-    if not kappa_cut < 1.0:
-        raise ValueError(f"the transmitted packet lies within double rounding of kappa = 1 "
-                         f"at lam = {params.lam:.6g}")
+    kappa_cut = _spectrum.support_cut(spec, params)
 
     def amplitude(kappa: np.ndarray) -> np.ndarray:
         mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)

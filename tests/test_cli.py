@@ -188,6 +188,23 @@ def test_w_ratio_whose_square_overflows_is_rejected_naming_w(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lam, w, note",
+    [
+        # (a lam)^2 overflows inside the closed-form moments
+        ("100", "1e154", "closed-form moments leave the float range at W = 1e+154, lam = 100"),
+        # the moments are finite, but their products overflow
+        ("1e4", "1e150", "moment combinations overflow the float range at W = 1e+150, lam = 10000"),
+    ],
+)
+def test_moment_overflow_note_names_w_and_lam(tmp_path, lam, w, note):
+    # a is about W here, so W is as much the cause as lam
+    out = tmp_path / "row.csv"
+    assert main(["single", "--lambda", lam, "--w-ratio", w, "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note == f"failed: {note}"
+
+
 def test_largest_delta_still_runs_to_an_underflowed_row(tmp_path):
     # delta = 1e154 squares to a double; g underflows to 0 away from kappa0,
     # so the row fails on its density, as a numerical failure

@@ -98,6 +98,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"nodes_per_panel must be in \[8, 128\], got 129"):
             build_config("single", {"nodes_per_panel": "129"})
 
+    def test_coarse_points_is_capped_at_2_to_the_16(self):
+        # the scan holds coarse_points taus and densities; only the bound is run
+        assert build_config("single", {"coarse_points": "65536"}).peak.coarse_points == 65536
+        with pytest.raises(ConfigError, match=r"coarse_points must be in \[16, 65536\], got 65537"):
+            build_config("single", {"coarse_points": "65537"})
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -141,13 +147,15 @@ class TestRows:
     @pytest.mark.parametrize("w", [1.0, 2.0])
     def test_lambda_outside_the_float_range_is_a_failed_row(self, w, lam):
         row = compute_row(lam, w, Spectrum(), PeakSearchConfig(), QuadratureSettings())
-        assert row.note == f"failed: closed-form moments leave the float range at lam = {lam:g}"
+        assert row.note == (f"failed: closed-form moments leave the float range "
+                            f"at W = {w:g}, lam = {lam:g}")
         assert row.tau_new is None and row.tau_num is None
 
     @pytest.mark.parametrize("w", [1.0, 2.0])
     def test_moment_combination_overflow_is_a_failed_row(self, w):
         row = compute_row(1e-40, w, Spectrum(), PeakSearchConfig(), QuadratureSettings())
-        assert row.note == "failed: moment combinations overflow the float range at lam = 1e-40"
+        assert row.note == (f"failed: moment combinations overflow the float range "
+                            f"at W = {w:g}, lam = 1e-40")
         assert row.tau_new is None and row.tau_num is None
 
     def test_window_hit_noted(self):

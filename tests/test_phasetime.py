@@ -138,10 +138,10 @@ class TestMoments:
 
     def test_all_moments_positive_enforced(self):
         with pytest.raises(ValueError):
-            MomentTable(1.0, 1.0, 0.0, 1.0, 1.0, lam=1.0)
+            MomentTable(1.0, 1.0, 0.0, 1.0, 1.0, DimensionlessParams(W=1.0, lam=1.0))
         for bad in (math.inf, math.nan):  # `s > 0` alone lets inf through
             with pytest.raises(ValueError, match="finite"):
-                MomentTable(1.0, 1.0, 1.0, 1.0, bad, lam=1.0)
+                MomentTable(1.0, 1.0, 1.0, 1.0, bad, DimensionlessParams(W=1.0, lam=1.0))
 
     @pytest.mark.parametrize("lam", [1e50, 1e-50, 1e-44])
     @pytest.mark.parametrize("w", [1.0, 2.0])

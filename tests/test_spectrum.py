@@ -1,12 +1,21 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunneltime import spectrum
 from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
-from tunneltime.spectrum import Spectrum, evaluate, mean_k_opaque, transmitted_mean_k
+from tunneltime.spectrum import (
+    Spectrum,
+    evaluate,
+    mean_k_opaque,
+    support_cut,
+    transmitted_mean_k,
+)
 from tunneltime.units import DimensionlessParams
+from tunneltime.wavepacket import transmitted_integral
 
 # Int kappa g^2 |T|^2 / Int g^2 |T|^2 at lam = 100 (kappa0 = 0.5, delta = 10),
 # with |T|^2 = 1 / (cosh^2 u + b^2 sinh^2(u) / u^2), by mpmath Gauss-Legendre
@@ -74,9 +83,75 @@ def test_mean_k_refines_one_integrand_for_both_integrals(monkeypatch):
         calls.append(args)
         return integrate_adaptive(*args, **kwargs)
 
+    params = DimensionlessParams(W=1.0, lam=100.0)
     monkeypatch.setattr(spectrum, "integrate_adaptive", counting)
-    transmitted_mean_k(Spectrum(), DimensionlessParams(W=1.0, lam=100.0))
+    transmitted_mean_k(Spectrum(), params)
     assert len(calls) == 1
+    # on the engine's support: one rule, `support_cut`, for both transmitted integrals
+    cut = support_cut(Spectrum(), params)
+    assert calls[0][1] == cut == transmitted_integral(Spectrum(), params, 10.0).kappa_cut
+    assert 0.8 < cut < 1.0  # 0.811
+
+
+def mean_k_gap_oracle(W: float, lam: float) -> mp.mpf:
+    """1 - mean_k of the default spectrum, by mpmath at 20 digits over all of [0, 1].
+
+    |T|^2 e^{2 a lam} = 4 e^{2 (a lam - u)} / ((1 + e^{-2u})^2 + (b s)^2), with
+    u = lam q, s = (1 - e^{-2u}) / u (2 as q -> 0 at kappa = W = 1) and
+    b = (2 kappa^2 - W^2) lam / (2 kappa), as in `transmission._kernel`.
+    Breakpoints: kappa_c (so the mass the cut drops is counted, not
+    assumed) and 1 - j h for j = 1/16, 1/8, ..., with h = a / lam (h =
+    1/lam^2 at W = 1), the scale on which the weight falls below the
+    cutoff.  Without them tanh-sinh is 3 % off at W = 1, lam = 1e5.
+    """
+    with mp.workdps(20):
+        W_, lam_ = mp.mpf(W), mp.mpf(lam)
+        a = mp.sqrt((W_ - 1) * (W_ + 1))
+
+        def weight(k):
+            u = lam_ * mp.sqrt((W_ - k) * (W_ + k))
+            s = 2 if u == 0 else -mp.expm1(-2 * u) / u
+            b = (2 * k * k - W_ * W_) * lam_ / (2 * k)
+            g = mp.exp(-((k - mp.mpf(0.5)) ** 2) * 25)  # kappa0 = 0.5, delta = 10
+            return 4 * g * g * mp.exp(2 * (a * lam_ - u)) / ((1 + mp.exp(-2 * u)) ** 2 + (b * s) ** 2)
+
+        cut = support_cut(Spectrum(), DimensionlessParams(W=W, lam=lam))
+        h = a / lam_ if a > 0 else 1 / lam_**2
+        steps = [1 - mp.mpf(2) ** e * h for e in range(-4, 64) if 1 - mp.mpf(2) ** e * h > cut]
+        points = sorted({mp.mpf(0), mp.mpf(cut), *steps, mp.mpf(1)})
+        return mp.quad(lambda k: (1 - k) * weight(k), points) / mp.quad(weight, points)
+
+
+@pytest.mark.parametrize(
+    "w, lam",
+    # a refinement on [0, 1] from one panel underflows on every node at the
+    # first four and misses the strip below the cutoff at the last two
+    [(1.0, 1e4), (1.0, 1e5), (1.5, 1e6), (2.0, 1e6), (1.0, 9669.25), (1.5, 594311.0)],
+)
+def test_mean_k_gap_against_mpmath_at_large_lam(w, lam):
+    # measured: at most 1.3e-7 relative (W = 1, lam = 1e5, where one ulp of
+    # mean_k is 5e-7 of the gap); 2.1e-9 at W = 1, lam = 1e4
+    gap = 1.0 - transmitted_mean_k(Spectrum(), DimensionlessParams(W=w, lam=lam))
+    assert gap == pytest.approx(float(mean_k_gap_oracle(w, lam)), rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1.0, max_value=2.0), st.floats(min_value=0.0, max_value=1e6))
+def test_mean_k_lies_in_the_spectrum_range(w, lam):
+    mk = transmitted_mean_k(Spectrum(), DimensionlessParams(W=w, lam=lam))
+    assert 0.0 < mk <= 1.0
+
+
+def test_support_within_double_rounding_of_the_cutoff_raises_in_both_integrals():
+    # at W = 1, lam = 1e10 the cut kappa_c rounds to 1: one rule, one message
+    params = DimensionlessParams(W=1.0, lam=1e10)
+    messages = []
+    for integral in (lambda: transmitted_mean_k(Spectrum(), params),
+                     lambda: transmitted_integral(Spectrum(), params, 10.0)):
+        with pytest.raises(ValueError, match="within double rounding of kappa = 1") as exc:
+            integral()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_mean_k_degenerate_spectrum_raises():
