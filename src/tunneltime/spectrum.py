@@ -1,4 +1,4 @@
-"""Incoming momentum distribution and the transmitted mean momentum.
+"""Incoming momentum distribution, its transmitted support and the opaque mean.
 
 The incident packet is weighted by a truncated Gaussian
 
@@ -6,8 +6,8 @@ The incident packet is weighted by a truncated Gaussian
 
 cut off at the spectrum limit kappa = 1 so that every component tunnels.
 The transmitted mean momentum (filter effect) is the g^2 |T|^2 - weighted
-mean of kappa; in the opaque limit it collapses onto the cutoff as
-1 - a/(2 lam).
+mean of kappa (`wavepacket.transmitted_mean_k`); in the opaque limit it
+collapses onto the cutoff as 1 - a/(2 lam).
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import math
 
 import numpy as np
 
-from . import transmission
-from .quadrature import integrate_adaptive
-from .units import DimensionlessParams, QuadratureSettings, Spectrum
+from .units import DimensionlessParams, Spectrum
 
 
 def evaluate(spec: Spectrum, kappa):
@@ -35,8 +33,9 @@ def evaluate(spec: Spectrum, kappa):
 def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
     """Largest kappa_c whose cut [0, kappa_c] drops at most eps/2 * sum|amp|.
 
-    The support of every transmitted integral, refined on [kappa_c, 1]:
-    the engine (`wavepacket.transmitted_integral`) and `transmitted_mean_k`.
+    The support [kappa_c, 1] of the engine (`wavepacket.transmitted_integral`),
+    whose node set both transmitted integrals are read off: the wave and,
+    from its nodes, the mean momentum (`wavepacket.transmitted_mean_k`).
     With x = lam (q - a), q = sqrt(W^2 - kappa^2), `transmission._kernel`
     gives e^{-x} / sqrt(1 + b^2) <= |T| e^{a lam} <= 2 e^{-x}: its
     denominator lies between 1 and 2 sqrt(1 + b^2).  On [0, kappa_c] the
@@ -73,41 +72,6 @@ def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
         return kappa_cut
     raise ValueError(f"the transmitted packet lies within double rounding of kappa = 1 "
                      f"at lam = {lam:.6g}")
-
-
-def transmitted_mean_k(
-    spec: Spectrum,
-    params: DimensionlessParams,
-    settings: QuadratureSettings | None = None,
-) -> float:
-    """Mean transmitted momentum ratio, Int k g^2 |T|^2 / Int g^2 |T|^2, in (0, 1].
-
-    g^2 |T|^2 is refined once on the support [kappa_c, 1] (`support_cut`,
-    the engine's): the denominator is its integral, and the gap
-    1 - mean = sum_j w_j (1 - kappa_j) g^2 |T|^2 (kappa_j) / denominator
-    comes from the same rule, so it keeps its digits as the mean nears
-    the cutoff (1 - mean ~ 2.2 / lam^2 at W = 1).  Both integrals
-    carry the common e^{-2 q_M L} suppression factored out (the ratio is
-    invariant), so opaque configurations stay representable.  Raises
-    ValueError on a vanishing denominator (a spectrum of norm 0), and the
-    `support_cut` ValueError when the support rounds to kappa = 1; a
-    refinement past settings.max_panels raises QuadratureError.
-    """
-    log_scale = params.a * params.lam
-
-    def weight(kappa: np.ndarray) -> np.ndarray:
-        mod, _ = transmission.modulus_phase(kappa, params, log_scale=log_scale)
-        return (evaluate(spec, kappa) * mod) ** 2
-
-    rule = integrate_adaptive(weight, support_cut(spec, params), 1.0, settings)
-    den = rule.value.real
-    kappa, weights = rule.nodes()
-    # sum of (1 - kappa) * w * f: 1 - num/den would cancel near the cutoff.
-    # einsum: no BLAS call, as in `quadrature._panel_integrals`
-    gap = float(np.einsum("j,j,j->", 1.0 - kappa, weights, rule.samples.real))
-    if den <= 0.0:
-        raise ValueError("vanishing denominator in transmitted mean momentum")
-    return 1.0 - gap / den
 
 
 def mean_k_opaque(params: DimensionlessParams) -> float:

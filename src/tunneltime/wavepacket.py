@@ -19,13 +19,12 @@ accepted panel is at most half a seed panel, n/4 rad, where the n-point
 Gauss-Legendre error on the chirp is about (e/32)^{2n} (Abramowitz &
 Stegun 25.4).  Near E_M = V0 the barrier filters the packet onto a thin strip
 below the cutoff, so the refinement runs on the support [kappa_c, 1] only
-(`spectrum.support_cut`, which `spectrum.transmitted_mean_k` shares):
-kappa_c comes from bounds on |T| alone, and the mass it drops moves
-Phi_T by at most eps/2 * sum|amp| (eps the machine epsilon;
-|Phi_T| ~ sum|amp| at the peak).  amp_j is each accepted node's weight
-times the factor the refinement evaluated there, and Phi_T(tau) costs one
-exponential per node and sample.  At W = 1, lam = 500: 10 panels on
-[0.992, 1], 84 on [0, 1].
+(`spectrum.support_cut`): kappa_c comes from bounds on |T| alone, and the
+mass it drops moves Phi_T by at most eps/2 * sum|amp| (eps the machine
+epsilon; |Phi_T| ~ sum|amp| at the peak).  amp_j is each accepted
+node's weight times the factor the refinement evaluated there, and
+Phi_T(tau) costs one exponential per node and sample.  At W = 1,
+lam = 500: 10 panels on [0.992, 1], 84 on [0, 1].
 
 The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1
 = (kappa_j - 1)(kappa_j + 1), so that
@@ -41,14 +40,16 @@ gives Phi_T itself; its peak-search methods (`densities`,
 `slope_and_derivative`) leave out the factor e^{-2 a lam}, which keeps
 opaque configurations representable and does not move the argmax.  The
 peak search (`peakfind`) builds the engine once for its whole window; a
-single sample is `transmitted_integral(spec, params, tau)(tau)`.
+single sample is `transmitted_integral(spec, params, tau)(tau)`.  The
+transmitted mean momentum (`transmitted_mean_k`) is read off the nodes of
+the wave for tau = 0, so the factor is refined in this one place only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -74,8 +75,11 @@ class TransmittedWave:
 
     amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}, g at
     unit norm (`norm` enters `__call__` and, squared, `densities`), on every
-    node of the accepted composite rule of `panels` panels on [kappa_cut, 1]
-    (the cut moves Phi by at most eps/2 * sum|amp|); s_j = (kappa_j - 1)(kappa_j + 1).
+    node of the accepted composite rule of `panels` panels on [kappa_c, 1]
+    (`spectrum.support_cut`; the cut moves Phi by at most eps/2 * sum|amp|);
+    s_j = (kappa_j - 1)(kappa_j + 1).  weights_j = w_j is the kappa-measure
+    d kappa of node j, so |amp_j|^2 / weights_j = w_j g^2 |T|^2 e^{2 log_scale}
+    is the transmitted weight that `transmitted_mean_k` averages kappa over.
     The peak search reads the density's slope f = (1/2) d|Phi|^2/dtau
     with its derivative f' (`slope_and_derivative`, for its bracket test
     and each Newton step): one exponential per node, at unit norm.
@@ -86,8 +90,8 @@ class TransmittedWave:
     s: np.ndarray
     amp: np.ndarray
     panels: int
+    weights: np.ndarray
     log_scale: float
-    kappa_cut: float
     norm: float
 
     def __call__(self, time: float) -> complex:
@@ -169,7 +173,7 @@ def transmitted_integral(
         raise ValueError(f"time must be finite, got {time}")
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
-    unit = replace(spec, norm=1.0)
+    unit = Spectrum(spec.kappa0, spec.delta)
     kappa_cut = _spectrum.support_cut(spec, params)
 
     def amplitude(kappa: np.ndarray) -> np.ndarray:
@@ -183,7 +187,37 @@ def transmitted_integral(
         s=(kappa - 1.0) * (kappa + 1.0),
         amp=weights * rule.samples,
         panels=rule.panels,
+        weights=weights,
         log_scale=log_scale,
-        kappa_cut=kappa_cut,
         norm=spec.norm,
     )
+
+
+def transmitted_mean_k(
+    spec: Spectrum,
+    params: DimensionlessParams,
+    settings: QuadratureSettings | None = None,
+) -> float:
+    """Mean transmitted momentum ratio, Int k g^2 |T|^2 / Int g^2 |T|^2, in (0, 1].
+
+    Both integrals are read off the nodes of the engine's wave for tau = 0
+    (one seed panel on the support [kappa_c, 1]): node j carries the weight
+    d_j = |amp_j|^2 / weights_j = w_j g^2 |T|^2 e^{2 a lam} at unit norm.  The
+    denominator is sum_j d_j and the gap 1 - mean = sum_j d_j (1 - kappa_j) /
+    sum_j d_j, with 1 - kappa_j = -s_j / (1 + sqrt(1 + s_j)) formed from s_j,
+    so it keeps its digits as the mean nears the cutoff (1 - mean ~
+    2.2 / lam^2 at W = 1).  The common e^{-2 a lam} suppression stays out
+    of both (the ratio is invariant), so opaque configurations stay
+    representable.  Raises ValueError on a vanishing denominator (a
+    spectrum of norm 0; the wave is built at unit norm), and the engine's
+    errors: the `support_cut` ValueError when the support rounds to
+    kappa = 1, and QuadratureError past settings.max_panels.
+    """
+    wave = transmitted_integral(spec, params, 0.0, settings)
+    density = np.abs(wave.amp) ** 2 / wave.weights
+    den = float(density.sum())
+    if spec.norm == 0.0 or not den > 0.0:
+        raise ValueError("vanishing denominator in transmitted mean momentum")
+    # einsum: no BLAS call, as in `quadrature._panel_integrals`
+    gap = float(np.einsum("j,j->", density, -wave.s / (1.0 + np.sqrt(1.0 + wave.s))))
+    return 1.0 - gap / den

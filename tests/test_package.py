@@ -1,9 +1,13 @@
 """The package namespace: each public name has one import path, its home
-submodule, and a bare `import tunneltime` loads none of them."""
+submodule, and a bare `import tunneltime` loads none of them; every name
+the README and the docstrings cite by that path exists."""
 
+import ast
+import importlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +18,12 @@ import tunneltime
 from tunneltime.experiments import build_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+README = SRC.parent / "README.md"
+
+# `module.name` or `module.name.attr`, optionally after `tunneltime.`, closed
+# by the backtick or by a call's parenthesis, as in `module.name(args)`
+NAMED_REFERENCE = re.compile(r"`(?:tunneltime\.)?(\w+)((?:\.\w+){1,2})[`(]")
 
 SUBMODULES = ("peakfind", "phasetime", "quadrature", "spectrum", "transmission", "units", "wavepacket")
 
@@ -79,3 +89,33 @@ def test_config_types_pickle_under_their_home_module():
     for value in (config.spectrum, config.quadrature, config.peak):
         assert type(value).__module__ == "tunneltime.units"
     assert pickle.loads(pickle.dumps(config)) == config
+
+
+def _docstrings():
+    for path in sorted((SRC / "tunneltime").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                yield ast.get_docstring(node) or ""
+
+
+def _resolves(module: str, names: list[str]) -> bool:
+    """Whether tunneltime.<module>.<names...> exists; a last name may be a dataclass field."""
+    owner = importlib.import_module(f"tunneltime.{module}")
+    *path, last = names
+    for name in path:
+        owner = getattr(owner, name, None)
+    return hasattr(owner, last) or last in getattr(owner, "__dataclass_fields__", ())
+
+
+@pytest.mark.parametrize("source", ["README.md", "docstrings"])
+def test_named_references_resolve(source):
+    modules = {path.stem for path in (SRC / "tunneltime").glob("*.py")} - {"__init__"}
+    texts = [README.read_text(encoding="utf-8")] if source == "README.md" else list(_docstrings())
+    found = [
+        (match.group(1), match.group(2).split(".")[1:])
+        for text in texts
+        for match in NAMED_REFERENCE.finditer(text)
+        if match.group(1) in modules
+    ]
+    assert len(found) >= 10  # the README cites 21, the docstrings 16
+    assert [f"{module}.{'.'.join(names)}" for module, names in found if not _resolves(module, names)] == []

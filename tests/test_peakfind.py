@@ -90,7 +90,10 @@ def test_peak_scaling_invariance():
     density = abs(scaled.wave(scaled.tau_peak)) ** 2
     assert density == pytest.approx(9.0 * abs(base.wave(base.tau_peak)) ** 2, rel=1e-9, abs=0.0)
     # the support cut is computed at norm = 1, so the node set is the same
-    assert scaled.wave.kappa_cut == base.wave.kappa_cut > 0.0
+    scaled_cut, base_cut = (spectrum_mod.support_cut(s, params) for s in (Spectrum(norm=3.0), SPEC))
+    assert scaled_cut == base_cut > 0.0
+    np.testing.assert_array_equal(scaled.wave.s, base.wave.s)
+    np.testing.assert_array_equal(scaled.wave.weights, base.wave.weights)
 
 
 def _record_slope_evaluations(monkeypatch, evaluate=None):
@@ -325,7 +328,7 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam):
     params = DimensionlessParams(W=w, lam=lam)
     scan = peak_arrival(SPEC, params)
     wave = scan.wave
-    cut = wave.kappa_cut
+    cut = spectrum_mod.support_cut(SPEC, params)
     n = QuadratureSettings().nodes_per_panel
 
     def amplitude(kappa):
@@ -336,17 +339,21 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam):
         seed = wavepacket._initial_panels(phase_span, n)
         panels = integrate_adaptive(amplitude, lo, 1.0, initial_panels=seed)
         kappa, weights = panels.nodes()
-        return panels, (kappa - 1.0) * (kappa + 1.0), weights * amplitude(kappa)
+        return panels, (kappa - 1.0) * (kappa + 1.0), weights * amplitude(kappa), weights
 
     def node_sum(amp, s, tau):
         return np.sum(amp * np.exp(-1j * tau * s))
 
-    panels, s, amp = rule(cut, scan.taus[-1] * (1.0 - cut * cut))
+    panels, s, amp, weights = rule(cut, scan.taus[-1] * (1.0 - cut * cut))
     total = np.abs(amp).sum()
     assert wave.panels == panels.lo.size
     assert wave.s.size == n * wave.panels
     np.testing.assert_array_equal(wave.s, s)
     np.testing.assert_array_equal(wave.amp, amp)
+    np.testing.assert_array_equal(wave.weights, weights)
+    # weights is the kappa-measure of the support (measured: within 1.3e-15
+    # relative), which `transmitted_mean_k` divides |amp|^2 by
+    assert weights.sum() == pytest.approx(1.0 - cut, rel=1e-13, abs=0.0)
     # the mass the cut drops, by an independent adaptive integral of |f|
     if cut > 0.0:
         fine = QuadratureSettings(rel_tol=1e-12)
@@ -355,7 +362,7 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam):
     # the rule on all of [0, 1], the engine's node set before the cut: the
     # two rules differ by their quadrature error only (1.2e-14 at lam = 100,
     # 9.7e-13 at lam = 500, relative to sum|amp|)
-    _, s_01, amp_01 = rule(0.0, scan.taus[-1])
+    _, s_01, amp_01, _ = rule(0.0, scan.taus[-1])
     for tau in scan.taus:
         engine = node_sum(wave.amp, wave.s, tau)
         assert abs(engine - node_sum(amp_01, s_01, tau)) <= 1e-12 * total

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunneltime import spectrum
+from tunneltime import wavepacket
 from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
-from tunneltime.spectrum import (
-    Spectrum,
-    evaluate,
-    mean_k_opaque,
-    support_cut,
-    transmitted_mean_k,
-)
+from tunneltime.spectrum import Spectrum, evaluate, mean_k_opaque, support_cut
 from tunneltime.units import DimensionlessParams
-from tunneltime.wavepacket import transmitted_integral
+from tunneltime.wavepacket import transmitted_integral, transmitted_mean_k
 
 # Int kappa g^2 |T|^2 / Int g^2 |T|^2 at lam = 100 (kappa0 = 0.5, delta = 10),
 # with |T|^2 = 1 / (cosh^2 u + b^2 sinh^2(u) / u^2), by mpmath Gauss-Legendre
@@ -77,19 +71,27 @@ def test_mean_k_filter_effect_against_trapezoid_oracle():
 
 
 def test_mean_k_refines_one_integrand_for_both_integrals(monkeypatch):
-    calls = []
+    # one engine call, at time 0 (one seed panel), and no refinement of its
+    # own: the one refinement is the engine's, on the support [kappa_c, 1]
+    waves, refinements = [], []
+
+    def engine(*args, **kwargs):
+        waves.append(args)
+        return transmitted_integral(*args, **kwargs)
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        refinements.append((args, kwargs))
         return integrate_adaptive(*args, **kwargs)
 
     params = DimensionlessParams(W=1.0, lam=100.0)
-    monkeypatch.setattr(spectrum, "integrate_adaptive", counting)
+    monkeypatch.setattr(wavepacket, "transmitted_integral", engine)
+    monkeypatch.setattr(wavepacket, "integrate_adaptive", counting)
     transmitted_mean_k(Spectrum(), params)
-    assert len(calls) == 1
-    # on the engine's support: one rule, `support_cut`, for both transmitted integrals
+    assert len(waves) == 1 and waves[0][2] == 0.0
+    assert len(refinements) == 1
+    (_, lo, hi, _), kwargs = refinements[0]
     cut = support_cut(Spectrum(), params)
-    assert calls[0][1] == cut == transmitted_integral(Spectrum(), params, 10.0).kappa_cut
+    assert (lo, hi, kwargs["initial_panels"]) == (cut, 1.0, 1)
     assert 0.8 < cut < 1.0  # 0.811
 
 

@@ -4,7 +4,7 @@ import pytest
 from scipy.special import erf
 
 from tunneltime.quadrature import QuadratureSettings
-from tunneltime.spectrum import Spectrum
+from tunneltime.spectrum import Spectrum, support_cut
 from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import transmitted_integral
 
@@ -96,7 +96,7 @@ def test_panel_count_grows_with_oscillation():
     spec = Spectrum()
     waves = {tau: transmitted_integral(spec, REFERENCE, tau) for tau in (50.0, 200.0, 800.0)}
     panels = {tau: wave.panels for tau, wave in waves.items()}
-    cut = waves[800.0].kappa_cut
+    cut = support_cut(spec, REFERENCE)
     assert cut == pytest.approx(0.811, abs=1e-3)
     assert panels[200.0] > panels[50.0]
     assert panels[800.0] > panels[200.0]
@@ -114,10 +114,10 @@ def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
     # at W = 1 the transmitted weight sits on a strip of width O(1/lam^2)
     # below the cutoff; at W = 2 it is spread over [0, 1] and nothing is cut
     params = DimensionlessParams(W=w, lam=lam)
-    wave = transmitted_integral(Spectrum(), params, 10.0)
-    assert (wave.kappa_cut > 0.0) == cut
+    kappa_cut = support_cut(Spectrum(), params)
+    assert (kappa_cut > 0.0) == cut
     if cut:  # at a = 0, 1 - kappa_c^2 = q_c^2 with lam q_c = 63 (500), 69 (3000)
-        assert 1.0 - wave.kappa_cut**2 < (80.0 / lam) ** 2
+        assert 1.0 - kappa_cut**2 < (80.0 / lam) ** 2
 
 
 def test_waves_compare_and_hash_by_identity():
