@@ -123,8 +123,14 @@ class QuadratureSettings:
         # the rule comes from a dense n x n eigenproblem, checked up to n = 128
         if not 8 <= self.nodes_per_panel <= 128:
             raise ValueError(f"nodes_per_panel must be in [8, 128], got {self.nodes_per_panel}")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
+        # a sweep evaluates up to max_panels panels in one call; 2^21 nodes
+        # caps the samples it holds at 32 MB of complex
+        bound = (1 << 21) // self.nodes_per_panel
+        if not 1 <= self.max_panels <= bound:
+            raise ValueError(
+                f"max_panels must be in [1, 2^21 / nodes_per_panel] = [1, {bound}], "
+                f"got {self.max_panels}"
+            )
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
 

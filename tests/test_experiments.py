@@ -92,17 +92,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config("table1", {"lambda": ""})
 
-    def test_nodes_per_panel_is_capped_at_128(self):
-        # _gl_nodes solves a dense n x n eigenproblem; only the bound is run
-        assert build_config("single", {"nodes_per_panel": "128"}).quadrature.nodes_per_panel == 128
-        with pytest.raises(ConfigError, match=r"nodes_per_panel must be in \[8, 128\], got 129"):
-            build_config("single", {"nodes_per_panel": "129"})
-
-    def test_coarse_points_is_capped_at_2_to_the_16(self):
-        # the scan holds coarse_points taus and densities; only the bound is run
-        assert build_config("single", {"coarse_points": "65536"}).peak.coarse_points == 65536
-        with pytest.raises(ConfigError, match=r"coarse_points must be in \[16, 65536\], got 65537"):
-            build_config("single", {"coarse_points": "65537"})
+    @pytest.mark.parametrize(
+        ("section", "key", "top", "others", "message"),
+        [
+            # _gl_nodes solves a dense n x n eigenproblem
+            ("quadrature", "nodes_per_panel", 128, {}, r"nodes_per_panel must be in \[8, 128\]"),
+            # the scan holds coarse_points taus and densities
+            ("peak", "coarse_points", 65536, {}, r"coarse_points must be in \[16, 65536\]"),
+            # a sweep evaluates max_panels x nodes_per_panel nodes in one call
+            ("quadrature", "max_panels", 65536, {},
+             r"max_panels must be in \[1, 2\^21 / nodes_per_panel\] = \[1, 65536\]"),
+            ("quadrature", "max_panels", 16384, {"nodes_per_panel": "128"},
+             r"max_panels must be in \[1, 2\^21 / nodes_per_panel\] = \[1, 16384\]"),
+        ],
+        ids=["nodes_per_panel", "coarse_points", "max_panels-at-32-nodes", "max_panels-at-128-nodes"],
+    )
+    def test_size_key_is_capped(self, section, key, top, others, message):
+        # only the boundary values are built; nothing that large is run
+        config = build_config("single", {**others, key: str(top)})
+        assert getattr(getattr(config, section), key) == top
+        with pytest.raises(ConfigError, match=rf"{message}, got {top + 1}$"):
+            build_config("single", {**others, key: str(top + 1)})
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -18,6 +18,10 @@ def test_settings_validation():
         QuadratureSettings(nodes_per_panel=4)
     with pytest.raises(ValueError):
         QuadratureSettings(max_panels=0)
+    # one sweep may hold 2^21 nodes; only the bound is built
+    assert QuadratureSettings(nodes_per_panel=128, max_panels=16384).max_panels == 16384
+    with pytest.raises(ValueError, match="max_panels .* nodes_per_panel"):
+        QuadratureSettings(nodes_per_panel=128, max_panels=16385)
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(ValueError):

@@ -47,8 +47,9 @@ def test_density_before_arrival_lower_than_peak():
 
 def test_density_long_after_passage_decays():
     # tau = 1e6 needs ~4.3e4 seed panels of 16 nodes to resolve the chirp on
-    # the support (one per 8 rad of its phase span, 3.4e5 rad)
-    settings = QuadratureSettings(nodes_per_panel=16, max_panels=8_000_000, rel_tol=1e-5)
+    # the support (one per 8 rad of its phase span, 3.4e5 rad); it accepts
+    # some 8.6e4 panels, under the 2^17 that 16 nodes allow
+    settings = QuadratureSettings(nodes_per_panel=16, max_panels=2**17, rel_tol=1e-5)
     d_late = abs(transmitted_integral(Spectrum(), REFERENCE, 1e6, settings)(1e6)) ** 2
     assert d_late < 1e-3 * DENSITY_AT_2141
 
