@@ -123,9 +123,8 @@ def moments_quadrature(
     rule = integrate_adaptive(
         lambda rho: (rho + a) ** 2 * np.exp(-rho * lam), 0.0, params.W - a, settings
     )
-    rho, weights = rule.nodes()
     # einsum, not `@`: no BLAS call, as in `quadrature._panel_integrals`
-    s = np.einsum("ij,j->i", rho ** np.arange(1, 5)[:, None], weights * rule.samples.real)
+    s = np.einsum("ij,j->i", rule.x ** np.arange(1, 5)[:, None], rule.w * rule.samples)
     return MomentTable(rule.value.real, *s.tolist(), params)
 
 

@@ -3,15 +3,20 @@
 Panels are bisected breadth-first until the Richardson-style error estimate
 |I(panel) - I(left half) - I(right half)| fits a per-panel budget of
 rel_tol * |integral| times the panel's share of the interval width, floored
-at an equal share 1 / (panel count).  The floor lets an endpoint cusp, whose
-error falls only as width^1.5, stop once its absolute contribution is
-negligible: at W = 1 the transmitted packet's integrand has one at the
-cutoff kappa = 1.  All pending panels are evaluated in one vectorized call
-per sweep (`QuadratureSettings` caps it at 2^21 nodes), which keeps the
-boundary-layer refinement near the spectrum cutoff cheap.  The integrand
-must accept an ndarray of abscissae and return an ndarray of values (real
-or complex; a real integrand keeps real samples).  The result hands back
-the accepted composite rule and the integrand's values on its nodes.
+at an equal share 1 / (panel count).  The floor lets a refinement graded
+toward one end stop once its small panels' absolute contribution is
+negligible.  The transmitted packet at W = 1 needs it: its integrand is
+analytic at the cutoff kappa = 1 (T depends on kappa only through
+u^2 = lam^2 (1 - kappa^2)), but the square root in u = lam sqrt(1 - kappa^2)
+shrinks its length scale in kappa toward the cutoff, so the panels grade
+there.  A panel with no double strictly inside it cannot be halved, and
+raises QuadratureError rather than pass on a zero error estimate.  All
+pending panels are evaluated in one vectorized call per sweep
+(`QuadratureSettings` caps it at 2^21 nodes), which keeps the boundary-layer
+refinement near the spectrum cutoff cheap.  The integrand must accept an
+ndarray of abscissae and return an ndarray of values (real or complex; a
+real integrand keeps real samples).  The result is the accepted composite
+rule, its nodes and weights exactly as f was evaluated on them, and f there.
 """
 
 from __future__ import annotations
@@ -50,39 +55,25 @@ def _gl_nodes(n: int):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureResult:
-    """Accepted panels [lo_i, hi_i] of an adaptive refinement, and f on them.
+    """The accepted composite rule of an adaptive refinement, and f on it.
 
-    `values` holds each panel's n-node Gauss-Legendre integral (their sum is
-    `value`); `nodes()` exposes the composite rule and `samples` holds f at
-    its nodes in `nodes()` order, so f need not be evaluated there again.
-    Results compare and hash by identity: == over array fields has no
-    single truth value.
+    `x` and `w` are the rule's abscissae and weights, n per accepted panel,
+    exactly as f was evaluated there, and `samples` holds f(x), so f need
+    not be evaluated again.  `value` is the sum of the accepted panel
+    integrals.  Results compare and hash by identity: == over array fields
+    has no single truth value.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    values: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
     samples: np.ndarray
-    nodes_per_panel: int
+    value: complex
+    panels: int
     evaluations: int
-
-    @property
-    def value(self) -> complex:
-        return complex(self.values.sum())
-
-    @property
-    def panels(self) -> int:
-        return self.lo.size
-
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Abscissae and weights of the composite rule, flattened."""
-        x01, w01 = _gl_nodes(self.nodes_per_panel)
-        width = (self.hi - self.lo)[:, None]
-        return (self.lo[:, None] + width * x01).ravel(), (width * w01).ravel()
 
 
 def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int):
-    """Gauss-Legendre estimates for panels [lo_i, hi_i], and f on their nodes."""
+    """Gauss-Legendre estimates for panels [lo_i, hi_i]; their nodes, weights and f."""
     x01, w01 = _gl_nodes(n)
     width = hi - lo
     nodes = lo[:, None] + width[:, None] * x01
@@ -90,7 +81,7 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int):
     # einsum, not `vals @ w01`: it makes no BLAS call, so no BLAS threads
     # run even when the user raises OPENBLAS_NUM_THREADS, and it keeps
     # the summation order, hence the bits, of every integral
-    return width * np.einsum("ij,j->i", vals, w01), vals
+    return width * np.einsum("ij,j->i", vals, w01), nodes, width[:, None] * w01, vals
 
 
 def integrate_adaptive(
@@ -105,7 +96,8 @@ def integrate_adaptive(
     initial_panels seeds a uniform subdivision before refinement (used by
     `wavepacket.transmitted_integral` to resolve the e^{-i kappa^2 tau}
     chirp).
-    Raises QuadratureError when max_panels is hit before convergence.
+    Raises QuadratureError when max_panels is hit before convergence, and
+    when a panel to be halved is too narrow to have a double strictly inside.
     """
     settings = settings or QuadratureSettings()
     if hi <= lo:
@@ -119,7 +111,7 @@ def integrate_adaptive(
 
     edges = np.linspace(lo, hi, n_init + 1)
     act_lo, act_hi = edges[:-1], edges[1:]
-    act_parent, _ = _panel_integrals(f, act_lo, act_hi, n)
+    act_parent = _panel_integrals(f, act_lo, act_hi, n)[0]
     evaluations = n_init * n
 
     total_width = hi - lo
@@ -129,14 +121,21 @@ def integrate_adaptive(
 
     while act_lo.size:
         n_act = act_lo.size
+        mid = 0.5 * (act_lo + act_hi)
+        # a panel two adjacent doubles wide has mid at one end: one half is
+        # empty, the other its parent, and their zero difference would pass
+        # any budget
+        stuck = np.flatnonzero((mid <= act_lo) | (mid >= act_hi))
+        if stuck.size:
+            lo_i, hi_i = float(act_lo[stuck[0]]), float(act_hi[stuck[0]])
+            raise QuadratureError(f"panel [{lo_i!r}, {hi_i!r}] cannot be halved in double precision")
         if done_panels + 2 * n_act > settings.max_panels:
             raise QuadratureError(
                 f"needed more than max_panels={settings.max_panels} panels"
             )
-        mid = 0.5 * (act_lo + act_hi)
         # the halves of every active panel: all left halves, then all right
         half_lo, half_hi = np.concatenate([act_lo, mid]), np.concatenate([mid, act_hi])
-        child, child_f = _panel_integrals(f, half_lo, half_hi, n)
+        child, x, w, child_f = _panel_integrals(f, half_lo, half_hi, n)
         evaluations += 2 * n_act * n
         left, right = child[:n_act], child[n_act:]
         pair = left + right
@@ -144,8 +143,9 @@ def integrate_adaptive(
         estimate = done_sum + pair.sum()
         scale = max(abs(estimate), np.finfo(float).tiny)
         # hybrid budget: width-proportional, floored by an equal share of the
-        # global tolerance so endpoint cusps (error ~ width^1.5) still
-        # terminate once their absolute contribution is negligible
+        # global tolerance so a refinement graded toward one end (the W = 1
+        # packet near kappa = 1) stops once its small panels' absolute
+        # contribution is negligible
         share = np.maximum((act_hi - act_lo) / total_width, 1.0 / (done_panels + 2 * n_act))
         budget = settings.rel_tol * scale * share
         ok = np.abs(act_parent - pair) <= budget
@@ -153,9 +153,9 @@ def integrate_adaptive(
         done_sum += pair[ok].sum()
         done_panels += 2 * int(np.count_nonzero(ok))
         both = np.concatenate([ok, ok])
-        accepted.append((half_lo[both], half_hi[both], child[both], child_f[both]))
+        accepted.append((x[both], w[both], child_f[both]))
         keep = ~both
         act_parent, act_lo, act_hi = child[keep], half_lo[keep], half_hi[keep]
 
-    p_lo, p_hi, values, samples = (np.concatenate(part) for part in zip(*accepted))
-    return QuadratureResult(p_lo, p_hi, values, samples.ravel(), n, evaluations)
+    x, w, samples = (np.concatenate(part).ravel() for part in zip(*accepted))
+    return QuadratureResult(x, w, samples, complex(done_sum), done_panels, evaluations)

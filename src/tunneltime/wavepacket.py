@@ -164,7 +164,8 @@ def transmitted_integral(
     The amplitude factor is refined to settings.rel_tol on the support
     [kappa_c, 1] (`spectrum.support_cut`), from the uniform panels that
     resolve e^{-i kappa^2 time} there; QuadratureError is raised when that
-    needs more than settings.max_panels panels, and `support_cut`'s
+    needs more than settings.max_panels panels or a panel too narrow to
+    halve in double precision, and `support_cut`'s
     ValueError when kappa_c rounds to 1, which leaves no support.  The opaque
     suppression is factored out of the node amplitudes (log_scale = a * lam)
     so that they stay representable; calling the wave restores it.
@@ -182,12 +183,11 @@ def transmitted_integral(
 
     seed = _initial_panels(time * (1.0 - kappa_cut * kappa_cut), settings.nodes_per_panel)
     rule = integrate_adaptive(amplitude, kappa_cut, 1.0, settings, initial_panels=seed)
-    kappa, weights = rule.nodes()  # rule.samples: the amplitude on these nodes
     return TransmittedWave(
-        s=(kappa - 1.0) * (kappa + 1.0),
-        amp=weights * rule.samples,
+        s=(rule.x - 1.0) * (rule.x + 1.0),
+        amp=rule.w * rule.samples,
         panels=rule.panels,
-        weights=weights,
+        weights=rule.w,
         log_scale=log_scale,
         norm=spec.norm,
     )
@@ -211,7 +211,8 @@ def transmitted_mean_k(
     representable.  Raises ValueError on a vanishing denominator (a
     spectrum of norm 0; the wave is built at unit norm), and the engine's
     errors: the `support_cut` ValueError when the support rounds to
-    kappa = 1, and QuadratureError past settings.max_panels.
+    kappa = 1, and QuadratureError past settings.max_panels or on a panel
+    too narrow to halve.
     """
     wave = transmitted_integral(spec, params, 0.0, settings)
     density = np.abs(wave.amp) ** 2 / wave.weights

@@ -123,15 +123,26 @@ def test_barrier_too_wide_for_a_double_support_names_the_cause(tmp_path):
                         "kappa = 1 at lam = 1e+10")
 
 
+def test_row_fails_on_a_panel_that_cannot_be_halved(tmp_path):
+    # at W = 1, lam = 3e6 the refinement toward kappa = 1 reaches a panel two
+    # adjacent doubles wide; its halves cannot test it, so the row fails and
+    # names the panel instead of printing a tau_num with no error behind it
+    out = tmp_path / "unhalvable.csv"
+    assert main(["single", "--lambda", "3e6", "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row.note.startswith("failed: panel [0.99999999999")
+    assert row.note.endswith("] cannot be halved in double precision")
+
+
 def test_unrefined_row_counts_as_a_failed_point(tmp_path, capsys):
-    # at W = 1, lam = 1e8 the slope does not bracket the coarse argmax, and
+    # at W = 1.5, lam = 1e7 the slope does not bracket the coarse argmax, and
     # that grid argmax is far from the peak: the run must not read as a success
     out, mixed = tmp_path / "unrefined.csv", tmp_path / "mixed.csv"
-    assert main(["single", "--lambda", "1e8", "--out", str(out)]) == 2
+    assert main(["single", "--lambda", "1e7", "--w-ratio", "1.5", "--out", str(out)]) == 2
     (row,) = read_rows(out)
     assert row.note.startswith("unrefined: ") and row.refine_iters == 0
     assert "(1 failed)" in capsys.readouterr().out
-    assert main(["table1", "--lambda", "50,1e8", "--out", str(mixed)]) == 3
+    assert main(["table1", "--lambda", "50,1e7", "--w-ratio", "1.5", "--out", str(mixed)]) == 3
     assert [r.note.startswith("unrefined: ") for r in read_rows(mixed)] == [False, True]
 
 

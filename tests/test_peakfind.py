@@ -338,7 +338,7 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam):
     def rule(lo, phase_span):
         seed = wavepacket._initial_panels(phase_span, n)
         panels = integrate_adaptive(amplitude, lo, 1.0, initial_panels=seed)
-        kappa, weights = panels.nodes()
+        kappa, weights = panels.x, panels.w
         return panels, (kappa - 1.0) * (kappa + 1.0), weights * amplitude(kappa), weights
 
     def node_sum(amp, s, tau):
@@ -346,8 +346,8 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam):
 
     panels, s, amp, weights = rule(cut, scan.taus[-1] * (1.0 - cut * cut))
     total = np.abs(amp).sum()
-    assert wave.panels == panels.lo.size
-    assert wave.s.size == n * wave.panels
+    assert wave.panels == panels.panels
+    assert wave.s.size == panels.x.size == n * wave.panels
     np.testing.assert_array_equal(wave.s, s)
     np.testing.assert_array_equal(wave.amp, amp)
     np.testing.assert_array_equal(wave.weights, weights)

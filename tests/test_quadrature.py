@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -108,6 +109,20 @@ def test_max_panels_exhaustion_raises():
         integrate_adaptive(lambda x: np.exp(-1e8 * (1.0 - x) ** 2) + np.sin(200 * x), 0.0, 1.0, settings)
 
 
+def test_a_panel_that_cannot_be_halved_raises():
+    # a step 43 ulps below 1 on [1 - 64 ulp, 1]: once a halving reaches two
+    # adjacent doubles, mid is one end of the panel, so one half is empty and
+    # the other is its parent, and their zero difference passes any budget.
+    # Accepting such panels returned 1.2 % off the exact 43 ulps, with no error
+    ulp = np.finfo(float).epsneg  # the spacing of the doubles just below 1
+    step = 1.0 - 43 * ulp
+    with pytest.raises(QuadratureError, match="cannot be halved in double precision") as exc:
+        integrate_adaptive(lambda x: (x >= step).astype(float), 1.0 - 64 * ulp, 1.0,
+                           QuadratureSettings(rel_tol=1e-8))
+    lo, hi = map(float, re.findall(r"[0-9.e+-]+(?=[,\]])", str(exc.value)))
+    assert np.nextafter(lo, 2.0) == hi and lo < step <= hi
+
+
 def test_initial_panels_beyond_cap_raises():
     settings = QuadratureSettings(max_panels=16)
     with pytest.raises(QuadratureError):
@@ -126,24 +141,39 @@ def test_panel_count_reported():
 
 
 def test_accepted_panels_tile_interval_and_integrate_f():
-    def f(x):
-        return np.exp(1j * 37.0 * x) + np.sqrt(1.0 - x)  # chirp-like plus a cusp
-
-    exact = (np.exp(37j) - 1.0) / 37j + 2.0 / 3.0
-    rule = integrate_adaptive(f, 0.0, 1.0, initial_panels=8)
-    order = np.argsort(rule.lo)
-    assert rule.lo[order][0] == 0.0 and rule.hi[order][-1] == 1.0
-    assert np.array_equal(rule.lo[order][1:], rule.hi[order][:-1])
-    assert rule.panels == rule.lo.size == rule.hi.size == rule.values.size
-    x, w = rule.nodes()
-    assert x.size == rule.panels * 32
-    assert np.all((x > 0.0) & (x < 1.0))
-    # the samples are f on the very nodes of the rule, bit for bit
-    assert rule.samples.dtype == complex
-    np.testing.assert_array_equal(rule.samples, f(x))
-    assert rule.value == complex(rule.values.sum())
-    assert rule.value == pytest.approx(exact, rel=1e-8)
-    assert np.sum(w * rule.samples) == pytest.approx(exact, rel=1e-8)
+    n = 32
+    x01, w01 = _gl_nodes(n)
+    # chirp-like plus a cusp, complex and real
+    for f, exact, dtype in [
+        (lambda x: np.exp(1j * 37.0 * x) + np.sqrt(1.0 - x),
+         (np.exp(37j) - 1.0) / 37j + 2.0 / 3.0, complex),
+        (lambda x: np.cos(37.0 * x) + np.sqrt(1.0 - x), math.sin(37.0) / 37.0 + 2.0 / 3.0, float),
+    ]:
+        rule = integrate_adaptive(f, 0.0, 1.0, initial_panels=8)
+        assert rule.x.shape == rule.w.shape == rule.samples.shape == (rule.panels * n,)
+        assert np.all((rule.x > 0.0) & (rule.x < 1.0))
+        # each panel's ends, recovered from its n nodes and weights: the
+        # weights are width * w01 and the nodes lo + width * x01
+        x, w = rule.x.reshape(-1, n), rule.w.reshape(-1, n)
+        width = w[:, 0] / w01[0]
+        np.testing.assert_allclose(w, width[:, None] * w01, rtol=1e-15, atol=0.0)
+        lo = x[:, 0] - width * x01[0]
+        np.testing.assert_allclose(x, lo[:, None] + width[:, None] * x01, rtol=0.0, atol=2e-16)
+        order = np.argsort(lo)
+        lo, hi = lo[order], (lo + width)[order]
+        # the panels tile [0, 1]: no gap and no overlap beyond rounding
+        tol = 4 * np.finfo(float).eps
+        assert abs(lo[0]) <= tol and abs(hi[-1] - 1.0) <= tol
+        np.testing.assert_allclose(lo[1:], hi[:-1], rtol=0.0, atol=tol)
+        # the samples are f on the very nodes of the rule, bit for bit, and
+        # a real integrand keeps real samples
+        assert rule.samples.dtype == dtype
+        np.testing.assert_array_equal(rule.samples, f(rule.x))
+        # value is the sum of the accepted panel integrals, within rel_tol of f's
+        panel_integrals = (w * rule.samples.reshape(-1, n)).sum(axis=1)
+        assert rule.value == pytest.approx(panel_integrals.sum(), rel=1e-14)
+        assert rule.value == pytest.approx(exact, rel=1e-8)
+        assert np.sum(rule.w * rule.samples) == pytest.approx(exact, rel=1e-8)
 
 
 def test_results_compare_and_hash_by_identity():
