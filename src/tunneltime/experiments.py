@@ -246,9 +246,9 @@ def compute_row(
     """The three phase times of one (lam, W) grid point, side by side.
 
     tau_spm (opaque stationary phase, 1/a) is None at a = 0, where it
-    diverges; tau_new (moments) also fills the window: peak_arrival takes it
-    for the unset bounds of the search for tau_num (simulated peak
-    arrival).  Failures are captured in the note
+    diverges; tau_num (simulated peak arrival) and tau_new (moments) both
+    come from peak_arrival, which places its search window from tau_new.
+    Failures are captured in the note
     column so that sweeps can continue; window hits and unrefined peaks are
     reported the same way (the result is untrustworthy until the caller
     widens the window, or the peak is bracketed).
@@ -258,17 +258,15 @@ def compute_row(
     # the numeric stack loads with the first point, not with the config;
     # called through their modules, where perfbench/layers.py wraps them
     from . import peakfind, phasetime
-    from .quadrature import QuadratureError
 
     try:
         params = DimensionlessParams(W=w, lam=lam)
-        tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
         tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
-        # the window comes from the tau_new above, so the moments run once
-        peak = peakfind.peak_arrival(spec, params, peak_config, settings, tau_new)
+        peak = peakfind.peak_arrival(spec, params, peak_config, settings)
+        tau_new = peak.tau_new
         v_transit = phasetime.transit_velocity(peak.tau_peak, params)
         ratio_ana_num = 100.0 * phasetime.transit_velocity(tau_new, params) / v_transit
-    except (QuadratureError, ValueError) as exc:
+    except ValueError as exc:
         return ResultRow(lam=lam, w=w, note=f"failed: {exc}")
     # the peak-search note goes first: ResultRow.failed reads the prefix
     notes = []
@@ -296,7 +294,8 @@ def compute_row(
 def density_trace(config: ExperimentConfig, lam: float, w: float) -> list[tuple[float, float]]:
     """The row's exit-density trace: its peak search's coarse scan, in tau order.
 
-    Raises ValueError where the peak search does (a density 0 everywhere).
+    Raises ValueError where the peak search does (a density 0 everywhere,
+    a QuadratureError).
     """
     from . import peakfind
 

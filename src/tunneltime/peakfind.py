@@ -14,12 +14,12 @@ bracket test at its two ends among them.  Both leave out the common factor
 e^{-2 a lam}, which keeps the argmax and keeps opaque configurations
 representable.  The bracket is trusted on one test: the slope falls from
 + to - across it.
-`peak_arrival` is the whole search, and its result carries the scan and
-the engine it ran on.
-One rule (`search_window`) fills each unset window bound from
-`default_window(tau_new)`, tau_new being the moment phase time (computed
-there unless the caller passes it); a set bound that empties the window is
-an error naming tau_new.
+`peak_arrival` is the whole search, and its result carries the scan, the
+engine it ran on and the moment phase time tau_new that placed the
+window: it computes tau_new once (closed-form moments), and one rule
+(`search_window`) fills each unset window bound from
+`default_window(tau_new)`; a set bound that empties the window is an
+error naming tau_new.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .units import DimensionlessParams, PeakSearchConfig, QuadratureSettings, Sp
 class PeakResult:
     """Peak time, with the coarse scan and the engine behind it.
 
-    densities holds |Phi_T(0, tau)|^2 e^{2 a lam} at taus (see `trace`);
+    tau_new is the moment phase time that placed the window; densities
+    holds |Phi_T(0, tau)|^2 e^{2 a lam} at taus (see `trace`);
     wave(tau_peak) is Phi_T at the peak.
     """
 
@@ -45,6 +46,7 @@ class PeakResult:
     window_hit: bool
     refined: bool
     refine_iters: int
+    tau_new: float
     taus: list[float] = field(repr=False, compare=False)
     densities: np.ndarray = field(repr=False, compare=False)
     wave: wavepacket.TransmittedWave = field(repr=False, compare=False)
@@ -59,17 +61,8 @@ def default_window(tau_reference: float) -> tuple[float, float]:
     return 0.1 * tau_reference, 5.0 * tau_reference + 10.0
 
 
-def search_window(
-    config: PeakSearchConfig, params: DimensionlessParams, tau_new: float | None = None
-) -> tuple[float, float]:
-    """(tau_min, tau_max): config's bounds, each unset one from default_window(tau_new).
-
-    tau_new comes from the closed-form moments unless the caller passes it.
-    """
-    if config.tau_min is not None and config.tau_max is not None:
-        return config.tau_min, config.tau_max
-    if tau_new is None:
-        tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+def search_window(config: PeakSearchConfig, tau_new: float) -> tuple[float, float]:
+    """(tau_min, tau_max): config's bounds, each unset one from default_window(tau_new)."""
     auto_min, auto_max = default_window(tau_new)
     tau_min = auto_min if config.tau_min is None else config.tau_min
     tau_max = auto_max if config.tau_max is None else config.tau_max
@@ -138,13 +131,13 @@ def peak_arrival(
     params: DimensionlessParams,
     config: PeakSearchConfig | None = None,
     settings: QuadratureSettings | None = None,
-    tau_new: float | None = None,
 ) -> PeakResult:
     """Locate the exit-density maximum inside the search window.
 
-    The window (`search_window`, given tau_new when the caller has it) is
-    scanned at config.coarse_points evenly spaced taus.  window_hit is set
-    (and refinement skipped) when the coarse argmax is the first or last
+    The window (`search_window` from tau_new, the moment phase time of the
+    closed-form moments, which the result carries) is scanned at
+    config.coarse_points evenly spaced taus.  window_hit is set (and
+    refinement skipped) when the coarse argmax is the first or last
     sample, with no bracket in the window; the caller must widen.  Otherwise
     `_refine` takes the bracket [tau_{i-1}, tau_{i+1}] around the coarse
     argmax: when the slope falls from + to - across it, Newton steps with a
@@ -157,10 +150,13 @@ def peak_arrival(
     the refinement did not run: on a window hit, or when the slope does not
     fall from + to - across the bracket (the grid argmax is returned).
     Raises ValueError when the density is 0 at every coarse sample, which
-    has no peak (a zero spectrum norm, or a density that underflows).
+    has no peak (a zero spectrum norm, or a density that underflows); the
+    moments, `search_window` and the engine raise ValueError too.
     """
     config = config or PeakSearchConfig()
-    (tau_lo, tau_hi), n = search_window(config, params, tau_new), config.coarse_points
+    # through the module, where perfbench/layers.py wraps the moments
+    tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+    (tau_lo, tau_hi), n = search_window(config, tau_new), config.coarse_points
     wave = wavepacket.transmitted_integral(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     step = (tau_hi - tau_lo) / (n - 1)
     taus = [tau_lo + i * step for i in range(n)]
@@ -177,6 +173,7 @@ def peak_arrival(
         window_hit=window_hit,
         refined=found is not None,
         refine_iters=iters,
+        tau_new=tau_new,
         taus=taus,
         densities=dens,
         wave=wave,

@@ -29,8 +29,8 @@ import numpy as np
 from .units import QuadratureSettings
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the adaptive refinement cannot reach the tolerance."""
+class QuadratureError(ValueError):
+    """Adaptive refinement cannot reach the tolerance; a ValueError, as LinAlgError is."""
 
 
 @lru_cache(maxsize=8)
@@ -96,8 +96,9 @@ def integrate_adaptive(
     initial_panels seeds a uniform subdivision before refinement (used by
     `wavepacket.transmitted_integral` to resolve the e^{-i kappa^2 tau}
     chirp).
-    Raises QuadratureError when max_panels is hit before convergence, and
-    when a panel to be halved is too narrow to have a double strictly inside.
+    Raises ValueError when hi <= lo, and its subclass QuadratureError when
+    max_panels is hit before convergence, and when a panel to be halved is
+    too narrow to have a double strictly inside.
     """
     settings = settings or QuadratureSettings()
     if hi <= lo:

@@ -59,7 +59,8 @@ def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0):
     it must not exceed min(qL) over the evaluated points.
     """
     kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0.0) or np.any(kappa > params.W):
+    # one mask: nan fails both comparisons, so it is rejected too
+    if not np.all((kappa > 0.0) & (kappa <= params.W)):
         raise ValueError("kappa must lie in (0, W]")
     W, lam = params.W, params.lam
     u = lam * np.sqrt((W - kappa) * (W + kappa))  # no cancellation as kappa -> W
@@ -73,7 +74,7 @@ def amplitude_opaque(kappa, params: DimensionlessParams):
     Returns 0 at kappa = W where the prefactor vanishes.
     """
     kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0.0) or np.any(kappa > 1.0):
+    if not np.all((kappa > 0.0) & (kappa <= 1.0)):
         raise ValueError("kappa must lie in (0, 1]")
     W, lam = params.W, params.lam
     g = np.sqrt((W - kappa) * (W + kappa))  # kappa <= 1 <= W

@@ -21,6 +21,7 @@ modules import these types from here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 #: SI presets for the physical boundary: 1 eV in joule and hbar = h/(2 pi)
@@ -30,6 +31,16 @@ EV = 1.602176634e-19
 ANGSTROM = 1e-10
 ELECTRON_MASS = 9.1093837139e-31
 HBAR = 6.62607015e-34 / (2.0 * math.pi)
+
+
+def _check_size(key: str, value, lo: int, hi: int, bounds: str = "") -> None:
+    """ValueError naming key unless value is an integer (numpy's too) in [lo, hi]; 32.5 is not."""
+    try:
+        if lo <= operator.index(value) <= hi:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{key} must be in {bounds}[{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +132,11 @@ class QuadratureSettings:
 
     def __post_init__(self) -> None:
         # the rule comes from a dense n x n eigenproblem, checked up to n = 128
-        if not 8 <= self.nodes_per_panel <= 128:
-            raise ValueError(f"nodes_per_panel must be in [8, 128], got {self.nodes_per_panel}")
+        _check_size("nodes_per_panel", self.nodes_per_panel, 8, 128)
         # a sweep evaluates up to max_panels panels in one call; 2^21 nodes
         # caps the samples it holds at 32 MB of complex
         bound = (1 << 21) // self.nodes_per_panel
-        if not 1 <= self.max_panels <= bound:
-            raise ValueError(
-                f"max_panels must be in [1, 2^21 / nodes_per_panel] = [1, {bound}], "
-                f"got {self.max_panels}"
-            )
+        _check_size("max_panels", self.max_panels, 1, bound, "[1, 2^21 / nodes_per_panel] = ")
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
 
@@ -147,8 +153,7 @@ class PeakSearchConfig:
         # 2^16: the scan costs coarse_points x nodes complex products per
         # point (some 4e7 at 600 nodes), and `peak_arrival` holds that many
         # taus and densities
-        if not 16 <= self.coarse_points <= 65536:
-            raise ValueError(f"coarse_points must be in [16, 65536], got {self.coarse_points}")
+        _check_size("coarse_points", self.coarse_points, 16, 65536)
         for bound in (self.tau_min, self.tau_max):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError(f"tau_min and tau_max must be finite, got {bound}")

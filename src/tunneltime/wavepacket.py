@@ -163,10 +163,10 @@ def transmitted_integral(
 
     The amplitude factor is refined to settings.rel_tol on the support
     [kappa_c, 1] (`spectrum.support_cut`), from the uniform panels that
-    resolve e^{-i kappa^2 time} there; QuadratureError is raised when that
-    needs more than settings.max_panels panels or a panel too narrow to
-    halve in double precision, and `support_cut`'s
-    ValueError when kappa_c rounds to 1, which leaves no support.  The opaque
+    resolve e^{-i kappa^2 time} there.  Raises ValueError: QuadratureError
+    when that needs more than settings.max_panels panels or a panel too
+    narrow to halve in double precision, and `support_cut`'s ValueError
+    when kappa_c rounds to 1, which leaves no support.  The opaque
     suppression is factored out of the node amplitudes (log_scale = a * lam)
     so that they stay representable; calling the wave restores it.
     """
@@ -209,8 +209,8 @@ def transmitted_mean_k(
     2.2 / lam^2 at W = 1).  The common e^{-2 a lam} suppression stays out
     of both (the ratio is invariant), so opaque configurations stay
     representable.  Raises ValueError on a vanishing denominator (a
-    spectrum of norm 0; the wave is built at unit norm), and the engine's
-    errors: the `support_cut` ValueError when the support rounds to
+    spectrum of norm 0; the wave is built at unit norm), and where the
+    engine does: the `support_cut` ValueError when the support rounds to
     kappa = 1, and QuadratureError past settings.max_panels or on a panel
     too narrow to halve.
     """

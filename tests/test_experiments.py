@@ -357,15 +357,14 @@ def test_committed_peak_digits_are_converged(experiment):
     fine = QuadratureSettings(rel_tol=1e-12, nodes_per_panel=64)
     for (lam, w), ref in zip(points, read_rows(RESULTS / f"{experiment}.csv"), strict=True):
         params = DimensionlessParams(W=w, lam=lam)
-        tau_new = phase_time_moments(moments_closed_form(params), params)
-        peak = peak_arrival(config.spectrum, params, config.peak, fine, tau_new)
+        peak = peak_arrival(config.spectrum, params, config.peak, fine)
         step = peak.taus[1] - peak.taus[0]
         root = brentq(lambda tau: peak.wave.slope_and_derivative(tau)[0],
                       peak.tau_peak - step, peak.tau_peak + step,
                       xtol=1e-300, rtol=4 * sys.float_info.epsilon)
         v_transit = transit_velocity(root, params)
         converged = {"tau_num": root, "v_transit": v_transit,
-                     "ratio_ana_num": 100.0 * transit_velocity(tau_new, params) / v_transit}
+                     "ratio_ana_num": 100.0 * transit_velocity(peak.tau_new, params) / v_transit}
         for name, value in converged.items():
             printed = getattr(ref, name)
             unit = 10.0 ** (math.floor(math.log10(abs(printed))) - 9)
@@ -510,6 +509,11 @@ class TestSweeps:
         config = dataclasses.replace(small_config(), spectrum=Spectrum(norm=0.0))
         with pytest.raises(ValueError, match="exit density is 0 at every coarse sample"):
             density_trace(config, 30.0, 1.0)
+
+    def test_density_trace_of_a_quadrature_failure_raises_value_error(self):
+        # QuadratureError is a ValueError, like every other point that cannot be computed
+        with pytest.raises(ValueError, match="initial panel count 3 exceeds max_panels=2"):
+            density_trace(build_config("single", {"max_panels": "2"}), 100.0, 1.0)
 
     def test_single_trace_reuses_the_row_node_set(self, monkeypatch):
         # --trace adds no second node set: the trace is the row's own scan

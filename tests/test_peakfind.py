@@ -229,21 +229,37 @@ def test_window_hit_flagged_not_raised():
     assert result.tau_peak <= 40.0 + (80.0 - 40.0) / 31 * 1.5
 
 
-def test_window_filled_from_the_tau_new_passed_in(monkeypatch):
-    # a caller that has tau_new hands it over: the unset bounds come from
-    # default_window(tau_new), and the moments are not computed again
+def test_window_filled_from_the_moment_tau_new(monkeypatch):
+    # peak_arrival forms tau_new from the closed-form moments, once per
+    # call, fills the unset bounds from default_window(tau_new) and hands
+    # tau_new back bit for bit
     params = DimensionlessParams(W=1.0, lam=100.0)
     tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
     lo, hi = default_window(tau_new)
     fixed = PeakSearchConfig(tau_min=lo, tau_max=hi, coarse_points=32)
     expected = peak_arrival(SPEC, params, fixed)
+    calls = []
+    real_moments = phasetime.moments_closed_form
 
-    def no_moments(*args):
-        raise AssertionError("moments computed although tau_new was passed")
+    def counted(*args):
+        calls.append(args)
+        return real_moments(*args)
 
-    monkeypatch.setattr(phasetime, "moments_closed_form", no_moments)
-    result = peak_arrival(SPEC, params, PeakSearchConfig(coarse_points=32), None, tau_new)
+    monkeypatch.setattr(phasetime, "moments_closed_form", counted)
+    result = peak_arrival(SPEC, params, PeakSearchConfig(coarse_points=32))
     assert result.taus == expected.taus
+    assert result.tau_new == tau_new and expected.tau_new == tau_new
+    assert len(calls) == 1
+
+
+def test_fixed_window_still_needs_the_moments():
+    # both bounds set: the window needs no tau_new, but the result carries
+    # it, so a point whose moment combinations overflow fails as its row does
+    params = DimensionlessParams(W=1.0, lam=1e-40)
+    cfg = PeakSearchConfig(tau_min=0.1, tau_max=10.0)
+    with pytest.raises(ValueError, match="moment combinations overflow the float range "
+                                         "at W = 1, lam = 1e-40"):
+        peak_arrival(SPEC, params, cfg)
 
 
 def test_flat_top_with_a_falling_slope_is_refined(monkeypatch):
@@ -466,7 +482,7 @@ def _transit_slope_mp() -> float:
 
 def test_transit_time_slope_at_matched_energies():
     # tau_num = c* lam + d / lam + O(lam^-3) at W = 1, so lam (tau_num - c* lam)
-    # settles on d (-30.56 for the default spectrum; measured spread 0.019
+    # settles on d (-30.542 for the default spectrum; measured spread 0.019
     # over these lam, bound 0.05); it checks the slope to about 1e-8.  With
     # the opaque constant 2/9 the same combination runs from -1293 to -80800
     c_star = _transit_slope_mp()

@@ -124,6 +124,15 @@ def test_kappa_domain_validation():
         amplitude_opaque(1.2, params)
 
 
+def test_kappa_domain_check_rejects_nan():
+    # nan fails every comparison, so no node of nan passes the domain check
+    params = DimensionlessParams(W=1.0, lam=100.0)
+    with pytest.raises(ValueError, match=r"kappa must lie in \(0, W\]"):
+        modulus_phase(np.array([np.nan, 0.5]), params)
+    with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\]"):
+        amplitude_opaque(np.array([0.5, np.nan]), params)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kappa=st.floats(1e-3, 1.0),

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as const
@@ -9,7 +10,9 @@ from tunneltime.units import (
     ANGSTROM,
     EV,
     DimensionlessParams,
+    PeakSearchConfig,
     PhysicalParams,
+    QuadratureSettings,
     denormalize,
     electron_barrier,
     normalize,
@@ -120,3 +123,15 @@ def test_transit_velocity_unit_consistency_off_symmetric_point():
     t_phys = tau * phys.hbar / phys.energy_max
     v_expected = (phys.barrier_width / t_phys) / scales.velocity
     assert dp.lam / (tau * dp.W) == pytest.approx(v_expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("settings_type", "key"),
+    [(QuadratureSettings, "nodes_per_panel"), (QuadratureSettings, "max_panels"),
+     (PeakSearchConfig, "coarse_points")],
+)
+def test_size_settings_must_be_integers(settings_type, key):
+    # 32.5 nodes per panel would run the 33-node rule; a numpy integer is an integer
+    with pytest.raises(ValueError, match=rf"^{key} must be in \[.*\], got 32\.5$"):
+        settings_type(**{key: 32.5})
+    assert getattr(settings_type(**{key: np.int64(32)}), key) == 32
