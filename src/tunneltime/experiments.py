@@ -339,25 +339,27 @@ def trace_path(out: Path) -> Path:
     return out.with_name(out.stem + "_trace" + out.suffix)
 
 
-def write_plot_script(path: Path, csv_path: Path, experiment: str) -> None:
-    """Companion gnuplot text for the emitted CSV (no plotting library linked)."""
-    if experiment == "fig2":
-        body = (
-            f'set datafile separator ","\n'
-            f'set xlabel "sqrt(V0/E_M)"\n'
-            f'set ylabel "tau [hbar/E_M]"\n'
-            f'plot "{csv_path.name}" using 2:3 with lines title "spm", \\\n'
-            f'     "" using 2:4 with lines title "new", \\\n'
-            f'     "" using 2:5 with points title "num"\n'
-        )
+def write_plot_script(path: Path, csv_path: Path, config: ExperimentConfig) -> None:
+    """Companion gnuplot text for the emitted CSV (no plotting library linked).
+
+    fig2 draws its three phase times against W.  A width sweep (table1,
+    fig1, single) draws v_transit against lam, one curve per W of the
+    config, titled by V0/E_M = W^2: each curve keeps only the rows whose
+    W cell is that W's printed cell, so no row order is assumed.
+    """
+    if config.experiment == "fig2":
+        xlabel, ylabel = "sqrt(V0/E_M)", "tau [hbar/E_M]"
+        curves = [("2:3", "lines", "spm"), ("2:4", "lines", "new"), ("2:5", "points", "num")]
     else:
-        body = (
-            f'set datafile separator ","\n'
-            f'set xlabel "k_M L"\n'
-            f'set ylabel "v_transit [sqrt(V0/2m)]"\n'
-            f'plot "{csv_path.name}" using 1:6 with linespoints title "v_transit"\n'
-        )
-    path.write_text("# gnuplot script (skip the CSV header with every ::1)\n" + body)
+        xlabel, ylabel = "k_M L", "v_transit [sqrt(V0/2m)]"
+        curves = [(f"1:($2 == {_cell(w)} ? $6 : 1/0)", "linespoints", f"V0/E_M = {_cell(w * w)}")
+                  for w in config.w_ratios]
+    sources = [f'"{csv_path.name}"'] + ['     ""'] * (len(curves) - 1)
+    plots = ", \\\n".join(f'{src} using {u} with {style} title "{title}"'
+                          for src, (u, style, title) in zip(sources, curves))
+    path.write_text("# gnuplot script (skip the CSV header with every ::1)\n"
+                    f'set datafile separator ","\nset xlabel "{xlabel}"\n'
+                    f'set ylabel "{ylabel}"\nplot {plots}\n')
 
 
 def write_outputs(config: ExperimentConfig, rows: list[ResultRow]) -> Path:
@@ -376,7 +378,7 @@ def write_outputs(config: ExperimentConfig, rows: list[ResultRow]) -> Path:
         if config.trace:
             write_trace(trace_path(out), rows[0].trace or [])
         if config.plot_script:
-            write_plot_script(out.with_suffix(out.suffix + ".gnuplot"), out, config.experiment)
+            write_plot_script(out.with_suffix(out.suffix + ".gnuplot"), out, config)
     except OSError as exc:
         exc.filename = exc.filename or out
         raise

@@ -20,11 +20,11 @@ from .units import DimensionlessParams, Spectrum
 
 
 def evaluate(spec: Spectrum, kappa):
-    """Spectral weight g(kappa); exactly zero outside [0, cutoff]."""
+    """Spectral weight g(kappa); exactly zero outside [0, cutoff], nan at nan."""
     kappa = np.asarray(kappa, dtype=float)
-    inside = (kappa >= 0.0) & (kappa <= spec.cutoff)
+    outside = (kappa < 0.0) | (kappa > spec.cutoff)  # nan is neither: it stays nan
     arg = -((kappa - spec.kappa0) ** 2) * spec.delta**2 / 4.0
-    out = np.where(inside, spec.norm * np.exp(arg), 0.0)
+    out = np.where(outside, 0.0, spec.norm * np.exp(arg))
     if out.ndim == 0:
         return float(out)
     return out

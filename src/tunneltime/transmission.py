@@ -100,20 +100,29 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
         k [w^4 (1 - e^{-4u}) + 4k^2 (w^2 - 2k^2) u e^{-2u}]
         / (q [w^4 (1 - e^{-2u})^2 + 16 k^2 q^2 e^{-2u}]).
 
-    For u >= 1e-2 the result is within 1e-11 relative of a 60-digit
-    evaluation, also as kappa -> W.  Below u = 1e-2 the O(u) terms of the
-    numerator cancel to O(u^3), so the relative error grows roughly like
-    1e-16 / u^2 and reaches a few 1e-5 for u < 1e-5.
+    The numerator's O(u) terms cancel as u -> 0; writing
+    w^4 + k^2 w^2 - 2k^4 = q^2 (w^2 + 2k^2) takes them out:
+
+        k [w^4 h + 4 u e^{-2u} q^2 (w^2 + 2k^2)],  h = 2 e^{-2u} (sinh 2u - 2u),
+
+    with h from the series of sinh x - x below 2u = 1 and from
+    -expm1(-4u) - 4u e^{-2u} above.  The result is within 1e-14 relative
+    of a 60-digit evaluation at every u, also as kappa -> W.
     """
     W, lam = params.W, params.lam
     if not 0.0 < kappa < W:
         raise ValueError(f"kappa must lie in (0, W), got {kappa}")
     k2 = kappa * kappa
     W4 = W ** 4
-    g = math.sqrt((W - kappa) * (W + kappa))  # no cancellation as kappa -> W
+    g2 = (W - kappa) * (W + kappa)  # no cancellation as kappa -> W
+    g = math.sqrt(g2)
     u = lam * g
     e = math.exp(-2.0 * u)
     em = math.expm1(-2.0 * u)  # e - 1
-    num = kappa * (-W4 * math.expm1(-4.0 * u) + 4.0 * k2 * (W * W - 2.0 * k2) * u * e)
-    den = g * (W4 * em * em + 16.0 * k2 * g * g * e)
+    if 2.0 * u < 1.0:  # series of sinh x - x, x = 2u; x^21/21! is < 1e-19 of the sum
+        h = 2.0 * e * sum((2.0 * u) ** n / math.factorial(n) for n in range(3, 21, 2))
+    else:
+        h = -math.expm1(-4.0 * u) - 4.0 * u * e
+    num = kappa * (W4 * h + 4.0 * u * e * g2 * (W * W + 2.0 * k2))
+    den = g * (W4 * em * em + 16.0 * k2 * g2 * e)
     return num / (den * k2)

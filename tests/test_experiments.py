@@ -26,6 +26,7 @@ from tunneltime.experiments import (
     read_rows,
     run_experiment,
     write_outputs,
+    write_plot_script,
     write_rows,
     write_trace,
 )
@@ -91,6 +92,8 @@ class TestConfigParsing:
             build_config("table1", {"w_ratio": "0.5"})
         with pytest.raises(ConfigError):
             build_config("table1", {"lambda": ""})
+        with pytest.raises(ConfigError, match="bad value for 'trace': 'maybe'"):
+            build_config("single", {"trace": "maybe"})
 
     @pytest.mark.parametrize(
         ("section", "key", "top", "others", "message"),
@@ -131,6 +134,12 @@ class TestConfigParsing:
         assert config.lambdas == (50.0, 100.0, 200.0)
         assert config.quadrature == QuadratureSettings()
         assert config.peak == PeakSearchConfig()
+
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(ConfigError, match="unknown experiment 'bogus'"):
+            build_config("bogus")
+        with pytest.raises(ConfigError, match="unknown experiment 'bogus'"):
+            ExperimentConfig("bogus", (100.0,), (1.0,))
 
     def test_overrides_beat_file_values(self):
         config = build_config("single", {"lambda": "40"}, {"lambda": "60", "out": None})
@@ -285,6 +294,27 @@ class TestCsv:
         if key == "trace":
             assert (tmp_path / "single_trace.csv").read_text() == (
                 "tau[hbar/E_M],density[arb]\n1,0.5\n")
+
+    def test_read_rows_rejects_another_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, [(1.0, 0.5)])
+        with pytest.raises(ConfigError, match="unexpected CSV header"):
+            read_rows(path)
+
+    @pytest.mark.parametrize(
+        ("experiment", "ratios"), [("table1", ["1"]), ("fig1", ["1", "1.1", "1.3", "1.5"])]
+    )
+    def test_width_sweep_plot_script_draws_one_curve_per_w(self, tmp_path, experiment, ratios):
+        # each curve keeps the rows whose W cell is its own W's printed cell
+        script = tmp_path / f"{experiment}.csv.gnuplot"
+        write_plot_script(script, RESULTS / f"{experiment}.csv", build_config(experiment))
+        text = script.read_text()
+        curves = re.findall(r'using 1:\(\$2 == (\S+) \? \$6 : 1/0\) with linespoints '
+                            r'title "V0/E_M = (\S+)"', text)
+        assert text.count(" using ") == len(curves) == len(ratios)
+        assert [ratio for _, ratio in curves] == ratios
+        csv_rows = (RESULTS / f"{experiment}.csv").read_text().splitlines()[1:]
+        assert [w for w, _ in curves] == list(dict.fromkeys(row.split(",")[1] for row in csv_rows))
 
     @pytest.mark.parametrize("experiment", ["table1", "fig1", "fig2"])
     def test_committed_results_round_trip_byte_for_byte(self, tmp_path, experiment):

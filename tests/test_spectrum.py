@@ -37,6 +37,14 @@ def test_evaluate_vectorized_support():
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
+def test_evaluate_passes_nan_through():
+    # nan is no kappa outside the support, so it must not read as a weight of 0
+    vals = evaluate(Spectrum(), np.array([0.5, np.nan, -np.inf, np.inf]))
+    assert vals[0] == 1.0 and math.isnan(vals[1])
+    assert vals[2] == 0.0 and vals[3] == 0.0
+    assert math.isnan(evaluate(Spectrum(), math.nan))
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(kappa0=0.0)
