@@ -155,7 +155,7 @@ def peak_arrival(
     """
     config = config or PeakSearchConfig()
     # through the module, where perfbench/layers.py wraps the moments
-    tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+    tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params))
     (tau_lo, tau_hi), n = search_window(config, tau_new), config.coarse_points
     wave = wavepacket.transmitted_integral(spec, params, max(abs(tau_lo), abs(tau_hi)), settings)
     step = (tau_hi - tau_lo) / (n - 1)

@@ -27,11 +27,18 @@ Two phase times come out of this module:
 Note: the closed form above drops an O(a*C) numerator term relative to the
 exact stationary point of the quadratic S; `model_density_argmax` keeps it.
 The two coincide at a = 0 and differ by O(1/lam^2) elsewhere.
+
+A `MomentTable` is the one input of the moment model: `model_density(moments,
+tau)`, `model_density_argmax(moments)` and `phase_time_moments(moments)` read
+W, lam and a from `moments.params`.  `MomentTable.combinations` is their one
+range check: it accepts A, B and C only as finite negative normal floats and
+otherwise raises ValueError naming W and lam.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +56,12 @@ def _point(params: DimensionlessParams) -> str:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments s(0)..s(4) of the edge integral at the point (W, lam)."""
+    """Moments s(0)..s(4) of the edge integral at the point (W, lam).
+
+    The table is the one input of the moment model: `model_density`,
+    `model_density_argmax` and `phase_time_moments` read W, lam and a from
+    `params`, and `combinations` is their one range check.
+    """
 
     s0: float
     s1: float
@@ -68,10 +80,20 @@ class MomentTable:
         return (self.s0, self.s1, self.s2, self.s3, self.s4)
 
     def combinations(self) -> tuple[float, float, float]:
-        """The three moment combinations (A, B, C) entering S(tau)."""
+        """The three moment combinations (A, B, C) entering S(tau).
+
+        For the moments of a positive weight on rho >= 0 all three are
+        negative (Cauchy-Schwarz for A and C, Chebyshev's sum inequality
+        for B).  Each is accepted only as a finite negative normal float;
+        otherwise ValueError names W and lam.  Finite moments can overflow
+        here (s0 * s4 is inf below lam ~ 1e-31) or underflow (C is
+        subnormal at W = 1 from lam ~ 1.2e31).
+        """
         s0, s1, s2, s3, s4 = self.values
-        # finite moments can still overflow here: s0 * s4 is inf below lam ~ 1e-31
-        return self.check_finite(s1 * s1 - s0 * s2, s1 * s2 - s0 * s3, s2 * s2 - s0 * s4)
+        abc = self.check_finite(s1 * s1 - s0 * s2, s1 * s2 - s0 * s3, s2 * s2 - s0 * s4)
+        if all(v <= -sys.float_info.min for v in abc):
+            return abc
+        raise ValueError(f"moment combinations underflow the float range at {_point(self.params)}")
 
     def check_finite(self, *values: float) -> tuple[float, ...]:
         """values formed from the moments; ValueError naming W and lam if one is not finite."""
@@ -128,49 +150,42 @@ def moments_quadrature(
     return MomentTable(rule.value.real, *s.tolist(), params)
 
 
-def model_density(moments: MomentTable, params: DimensionlessParams, tau: float) -> float:
+def model_density(moments: MomentTable, tau: float) -> float:
     """Quadratic model of the exit density, S(tau) up to a constant factor."""
     A, B, C = moments.combinations()
-    alpha, beta = s_coefficients(params, tau)
+    alpha, beta = s_coefficients(moments.params, tau)
     density = moments.s0**2 + alpha**2 * A + 2.0 * alpha * beta * B + beta**2 * C
     moments.check_finite(density)
     return density
 
 
-def model_density_argmax(moments: MomentTable, params: DimensionlessParams) -> float:
+def model_density_argmax(moments: MomentTable) -> float:
     """Exact stationary point of the quadratic S(tau).
 
-    The leading tau^2 coefficient 4a^2 A + 4a B + C is negative, so the
-    stationary point is the unique interior maximum.
+    The leading tau^2 coefficient 4a^2 A + 4a B + C is at most C < 0, so
+    the stationary point is the unique interior maximum.
     """
-    a = params.a
+    W, a = moments.params.W, moments.params.a
     A, B, C = moments.combinations()
-    num = 4.0 * a * A + 2.0 * params.W**2 * B + a * C
+    num = 4.0 * a * A + 2.0 * W**2 * B + a * C
     den = 4.0 * a * a * A + 4.0 * a * B + C
     moments.check_finite(num, den)
-    if den == 0.0:
-        raise ValueError("vanishing denominator in model density argmax")
     return num / den
 
 
-def phase_time_moments(moments: MomentTable, params: DimensionlessParams) -> float:
+def phase_time_moments(moments: MomentTable) -> float:
     """Moment-based phase time tau = E_M t / hbar (closed form).
 
-    tau = [2 W^2 B + 4 a A] / [C + 4 a B + 4 a^2 A]; both B and C are
-    negative for these moments, so the ratio is positive.
+    tau = [2 W^2 B + 4 a A] / [C + 4 a B + 4 a^2 A]; A, B and C are
+    negative (`MomentTable.combinations`), so the ratio is positive.
     """
-    a = params.a
+    W, a = moments.params.W, moments.params.a
     A, B, C = moments.combinations()
-    num = 2.0 * params.W**2 * B + 4.0 * a * A
+    num = 2.0 * W**2 * B + 4.0 * a * A
     den = C + 4.0 * a * B + 4.0 * a * a * A
     # 2 W^2 B is -inf at W ~ 1e16 a little above lam ~ 1e-31
     moments.check_finite(num, den)
-    if den == 0.0:
-        raise ValueError("vanishing denominator in moment phase time")
-    tau = num / den
-    if not tau > 0.0:
-        raise ValueError(f"moment phase time came out non-positive: {tau}")
-    return tau
+    return num / den
 
 
 def phase_time_spm(params: DimensionlessParams) -> float:

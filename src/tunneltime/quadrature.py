@@ -21,6 +21,7 @@ rule, its nodes and weights exactly as f was evaluated on them, and f there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,13 +97,15 @@ def integrate_adaptive(
     initial_panels seeds a uniform subdivision before refinement (used by
     `wavepacket.transmitted_integral` to resolve the e^{-i kappa^2 tau}
     chirp).
-    Raises ValueError when hi <= lo, and its subclass QuadratureError when
-    max_panels is hit before convergence, and when a panel to be halved is
-    too narrow to have a double strictly inside.
+    Raises ValueError, before f is evaluated, when a bound is not finite
+    or hi <= lo; and its subclass QuadratureError when max_panels is hit
+    before convergence, and when a panel to be halved is too narrow to
+    have a double strictly inside.
     """
     settings = settings or QuadratureSettings()
-    if hi <= lo:
-        raise ValueError("integration interval must have hi > lo")
+    # nan fails every comparison, so the chain rejects it too
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"integration interval [{lo!r}, {hi!r}] must be finite with hi > lo")
     n = settings.nodes_per_panel
     n_init = max(1, int(initial_panels))
     if n_init > settings.max_panels:

@@ -22,6 +22,7 @@ removable singularity at k = w (q -> 0).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -94,7 +95,8 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
 
     (bracket grouping fixed so that the opaque limit reduces to
     E t/hbar -> k/q), then divides by kappa^2 to convert E t/hbar into
-    E_M t/hbar.  Both brackets are divided by e^{2u}/2 (u = qL), so nothing
+    E_M t/hbar; the k in front cancels one kappa of it, so no kappa^2 can
+    underflow.  Both brackets are divided by e^{2u}/2 (u = qL), so nothing
     overflows and the denominator has no cancellation as q -> 0:
 
         k [w^4 (1 - e^{-4u}) + 4k^2 (w^2 - 2k^2) u e^{-2u}]
@@ -107,7 +109,9 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
 
     with h from the series of sinh x - x below 2u = 1 and from
     -expm1(-4u) - 4u e^{-2u} above.  The result is within 1e-14 relative
-    of a 60-digit evaluation at every u, also as kappa -> W.
+    of a 60-digit evaluation at every u, also as kappa -> W, and down to
+    kappa = 1e-300; ValueError when the time leaves the float range
+    (kappa near 5e-324).
     """
     W, lam = params.W, params.lam
     if not 0.0 < kappa < W:
@@ -123,6 +127,11 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
         h = 2.0 * e * sum((2.0 * u) ** n / math.factorial(n) for n in range(3, 21, 2))
     else:
         h = -math.expm1(-4.0 * u) - 4.0 * u * e
-    num = kappa * (W4 * h + 4.0 * u * e * g2 * (W * W + 2.0 * k2))
+    num = W4 * h + 4.0 * u * e * g2 * (W * W + 2.0 * k2)
     den = g * (W4 * em * em + 16.0 * k2 * g2 * e)
-    return num / (den * k2)
+    # den is subnormal or 0 only when u and kappa are both below ~1e-154
+    tau = num / den / kappa if den >= sys.float_info.min else math.nan
+    if not tau < math.inf:  # nan fails it too
+        raise ValueError(f"stationary time leaves the float range at kappa = {kappa!r}, "
+                         f"W = {W:g}, lam = {lam:g}")
+    return tau

@@ -97,7 +97,7 @@ def test_criterion_3_edge_limit_identity():
     detail = []
     for lam in (50.0, 100.0, 500.0):
         params = DimensionlessParams(W=1.0, lam=lam)
-        tau = phase_time_moments(moments_closed_form(params), params)
+        tau = phase_time_moments(moments_closed_form(params))
         expected = (2.0 / 9.0) * params.W**2 * lam
         if abs(tau - expected) / expected > 1e-12:
             ok = False
@@ -112,7 +112,7 @@ def test_criterion_4_stationary_phase_recovery():
     taus = []
     for lam in (100.0, 200.0, 400.0, 800.0):
         params = DimensionlessParams(W=math.sqrt(2.0), lam=lam)
-        taus.append(phase_time_moments(moments_closed_form(params), params) * params.a)
+        taus.append(phase_time_moments(moments_closed_form(params)) * params.a)
     in_range = 0.9 <= taus[0] <= 1.1
     gaps = [abs(t - 1.0) for t in taus]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -216,13 +216,13 @@ def test_criterion_7_property_suite(table1_run):
     for lam in (50.0, 100.0, 300.0):
         params = DimensionlessParams(W=1.0, lam=lam)
         table = moments_closed_form(params)
-        if abs(model_density_argmax(table, params) - phase_time_moments(table, params)) > 1e-9 * lam:
+        if abs(model_density_argmax(table) - phase_time_moments(table)) > 1e-9 * lam:
             ok = False
     params_a1 = DimensionlessParams(W=math.sqrt(2.0), lam=100.0)
     table_a1 = moments_closed_form(params_a1)
     gap_a1 = abs(
-        model_density_argmax(table_a1, params_a1) - phase_time_moments(table_a1, params_a1)
-    ) / phase_time_moments(table_a1, params_a1)
+        model_density_argmax(table_a1) - phase_time_moments(table_a1)
+    ) / phase_time_moments(table_a1)
     check(
         "7.5 model-density argmax equals tau_new (a = 0) to 1e-9",
         ok,
@@ -232,9 +232,9 @@ def test_criterion_7_property_suite(table1_run):
     # scan oracle: the quadratic's argmax really is its maximum
     params = DimensionlessParams(W=1.0, lam=100.0)
     table = moments_closed_form(params)
-    t_hat = model_density_argmax(table, params)
+    t_hat = model_density_argmax(table)
     grid = np.linspace(0.5 * t_hat, 1.5 * t_hat, 2001)
-    vals = [model_density(table, params, t) for t in grid]
+    vals = [model_density(table, t) for t in grid]
     check(
         "7.6 dense scan confirms interior maximum of S(tau)",
         abs(grid[int(np.argmax(vals))] - t_hat) <= grid[1] - grid[0],

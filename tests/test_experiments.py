@@ -526,7 +526,7 @@ class TestSweeps:
         # the trace is the coarse scan of the row's own peak search
         config = small_config(**{"lambda": "60", "w_ratio": "1.2"})
         params = DimensionlessParams(W=1.2, lam=60.0)
-        lo, hi = default_window(phase_time_moments(moments_closed_form(params), params))
+        lo, hi = default_window(phase_time_moments(moments_closed_form(params)))
         step = (hi - lo) / 31
         trace = density_trace(config, 60.0, 1.2)
         assert [tau for tau, _ in trace] == [lo + i * step for i in range(32)]

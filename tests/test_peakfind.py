@@ -234,7 +234,7 @@ def test_window_filled_from_the_moment_tau_new(monkeypatch):
     # call, fills the unset bounds from default_window(tau_new) and hands
     # tau_new back bit for bit
     params = DimensionlessParams(W=1.0, lam=100.0)
-    tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+    tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params))
     lo, hi = default_window(tau_new)
     fixed = PeakSearchConfig(tau_min=lo, tau_max=hi, coarse_points=32)
     expected = peak_arrival(SPEC, params, fixed)
@@ -536,7 +536,7 @@ def _tau_new_series() -> tuple[sympy.Expr, sympy.Expr, sympy.Symbol]:
     point = {a: params.a, eps: 1 / params.lam}
     moments = phasetime.moments_closed_form(params)
     assert [float(m.subs(point)) for m in s] == pytest.approx(moments.values, rel=1e-13)
-    tau_code = phasetime.phase_time_moments(moments, params)
+    tau_code = phasetime.phase_time_moments(moments)
     assert float(tau.subs(point)) == pytest.approx(tau_code, rel=1e-12)
     series = sympy.series(tau, eps, 0, 2).removeO()
     return series.coeff(eps, 0), series.coeff(eps, 1), a
@@ -562,7 +562,7 @@ def test_opaque_peak_follows_tau_new_through_first_order():
                 params = DimensionlessParams(W=w, lam=lam)
                 peak = peak_arrival(spec, params)
                 assert peak.refined
-                tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params), params)
+                tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params))
                 second_order.append(lam**2 * (peak.tau_peak - tau_new))
             first_order = float(c1.subs(a, params.a))  # params and peak at lam = 3200
             assert abs(lam * (peak.tau_peak - 1.0 / params.a) - first_order) <= 0.1

@@ -51,6 +51,10 @@ def _phase_time_fraction(a: Fraction, lam: Fraction) -> Fraction:
     return (2 * (1 + a * a) * B + 4 * a * A) / (C + 4 * a * B + 4 * a * a * A)
 
 
+# the three consumers of a moment table, each taking the table alone
+CONSUMERS = (phase_time_moments, model_density_argmax, lambda m: model_density(m, 1.0))
+
+
 class TestMoments:
     def test_reduction_at_a_zero(self):
         table = moments_closed_form(DimensionlessParams(W=1.0, lam=100.0))
@@ -159,23 +163,33 @@ class TestMoments:
         # the moments are finite, but s0 * s4 is inf (A, B, C inf or nan), or
         # at W = 2e16 the numerator 2 W^2 B is -inf and tau would be inf;
         # every consumer of the combinations raises the same error
-        params = DimensionlessParams(W=w, lam=lam)
-        moments = moments_closed_form(params)
-        for consumer in (
-            phase_time_moments,
-            model_density_argmax,
-            lambda m, p: model_density(m, p, 1.0),
-        ):
+        moments = moments_closed_form(DimensionlessParams(W=w, lam=lam))
+        for consumer in CONSUMERS:
             with pytest.raises(ValueError) as exc:
-                consumer(moments, params)
+                consumer(moments)
             message = str(exc.value)
             assert f"lam = {lam:g}" in message and "overflow" in message
             assert "nan" not in message
 
+    @pytest.mark.parametrize("lam", [1.2e31, 3e32, 1e35, 1e44])
+    def test_combination_underflow_names_lam(self, lam):
+        # the moments are positive normal floats, but C = s2^2 - s0 s4 is
+        # subnormal from lam ~ 1.2e31 at W = 1 and has lost its digits: at
+        # 3e32 tau would come out 2.1 % high, and from 1e33 C rounds to 0
+        moments = moments_closed_form(DimensionlessParams(W=1.0, lam=lam))
+        for consumer in CONSUMERS:
+            with pytest.raises(ValueError, match=re.escape(f"W = 1, lam = {lam:g}")):
+                consumer(moments)
+
+    def test_largest_lam_in_range_still_has_the_edge_limit(self):
+        # just below the underflow boundary every combination is normal
+        tau = phase_time_moments(moments_closed_form(DimensionlessParams(W=1.0, lam=1e31)))
+        assert tau == pytest.approx((2.0 / 9.0) * 1e31, rel=1e-15)
+
     @pytest.mark.parametrize("w", [1.0, 2.0])
     def test_smallest_lam_in_range_still_has_a_phase_time(self, w):
         params = DimensionlessParams(W=w, lam=1e-30)
-        tau = phase_time_moments(moments_closed_form(params), params)
+        tau = phase_time_moments(moments_closed_form(params))
         assert 0.0 < tau < math.inf
 
 
@@ -198,7 +212,7 @@ class TestModelDensity:
         table = moments_closed_form(params)
         A, B, C = table.combinations()
         expected = table.s0**2 + 4.0 * A + 4.0 * B + C
-        assert model_density(table, params, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert model_density(table, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_reduces_to_pure_edge_expression_at_a_zero(self):
         # a = 0: alpha = -2 constant, S = s0^2 + 4A - 4 tau B + tau^2 C
@@ -207,7 +221,7 @@ class TestModelDensity:
         A, B, C = table.combinations()
         for tau in (0.0, 5.0, 13.0):
             expected = table.s0**2 + 4.0 * A - 4.0 * tau * B + tau * tau * C
-            assert model_density(table, params, tau) == pytest.approx(expected, rel=1e-12)
+            assert model_density(table, tau) == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_with_negative_leading_coefficient(self):
         for a in (0.0, 0.4, 1.3):
@@ -217,7 +231,7 @@ class TestModelDensity:
             lead = 4.0 * a * a * A + 4.0 * a * B + C
             assert lead < 0.0
             # second difference of a quadratic is constant = 2 * lead
-            s = [model_density(table, params, t) for t in (1.0, 2.0, 3.0, 4.0)]
+            s = [model_density(table, t) for t in (1.0, 2.0, 3.0, 4.0)]
             d2a = s[2] - 2 * s[1] + s[0]
             d2b = s[3] - 2 * s[2] + s[1]
             assert d2a == pytest.approx(2.0 * lead, rel=1e-6)
@@ -228,9 +242,9 @@ class TestModelDensity:
         for a, lam in [(0.0, 100.0), (0.3, 100.0), (1.0, 70.0), (1.7, 250.0)]:
             params = params_from_a(a, lam)
             table = moments_closed_form(params)
-            t_hat = model_density_argmax(table, params)
+            t_hat = model_density_argmax(table)
             t0, t1, t2 = 0.5 * t_hat, t_hat + 1.0, 2.0 * t_hat + 3.0
-            f0, f1, f2 = (model_density(table, params, t) for t in (t0, t1, t2))
+            f0, f1, f2 = (model_density(table, t) for t in (t0, t1, t2))
             # vertex of the interpolating parabola
             denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
             a2 = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
@@ -239,7 +253,7 @@ class TestModelDensity:
             assert t_hat == pytest.approx(vertex, rel=1e-9)
             # and a dense scan cannot beat it
             grid = np.linspace(0.2 * t_hat, 3.0 * t_hat, 4001)
-            vals = [model_density(table, params, t) for t in grid]
+            vals = [model_density(table, t) for t in grid]
             assert abs(grid[int(np.argmax(vals))] - t_hat) <= grid[1] - grid[0]
 
 
@@ -248,14 +262,14 @@ class TestPhaseTimeMoments:
         # tau = (2/9) W^2 lam exactly under the closed-form moments
         for lam in (10.0, 100.0, 1000.0):
             params = DimensionlessParams(W=1.0, lam=lam)
-            tau = phase_time_moments(moments_closed_form(params), params)
+            tau = phase_time_moments(moments_closed_form(params))
             assert tau == pytest.approx((2.0 / 9.0) * params.W**2 * lam, rel=1e-12)
 
     def test_matches_argmax_exactly_at_a_zero(self):
         params = DimensionlessParams(W=1.0, lam=100.0)
         table = moments_closed_form(params)
-        assert phase_time_moments(table, params) == pytest.approx(
-            model_density_argmax(table, params), rel=1e-12
+        assert phase_time_moments(table) == pytest.approx(
+            model_density_argmax(table), rel=1e-12
         )
 
     def test_close_to_argmax_at_positive_a(self):
@@ -263,8 +277,8 @@ class TestPhaseTimeMoments:
         for a, lam in [(0.3, 100.0), (1.0, 100.0), (1.7, 50.0)]:
             params = params_from_a(a, lam)
             table = moments_closed_form(params)
-            t_closed = phase_time_moments(table, params)
-            t_exact = model_density_argmax(table, params)
+            t_closed = phase_time_moments(table)
+            t_exact = model_density_argmax(table)
             assert abs(t_closed - t_exact) / t_exact < 1e-2
             assert t_closed != t_exact
 
@@ -272,7 +286,7 @@ class TestPhaseTimeMoments:
         vals = []
         for lam in (100.0, 200.0, 400.0, 800.0):
             params = params_from_a(1.0, lam)
-            vals.append(phase_time_moments(moments_closed_form(params), params) * params.a)
+            vals.append(phase_time_moments(moments_closed_form(params)) * params.a)
         for v in vals:
             assert 0.9 <= v <= 1.1
         gaps = [abs(v - 1.0) for v in vals]
@@ -283,15 +297,35 @@ class TestPhaseTimeMoments:
         oracle = float(_phase_time_fraction(Fraction(3, 10), Fraction(100)))
         assert oracle == pytest.approx(3.128004656369904, rel=1e-12)
         params = params_from_a(0.3, 100.0)
-        tau = phase_time_moments(moments_closed_form(params), params)
+        tau = phase_time_moments(moments_closed_form(params))
         assert tau == pytest.approx(oracle, rel=1e-10)
 
     def test_positive_over_parameter_sweep(self):
         for a in np.linspace(0.0, 2.0, 9):
             for lam in (10.0, 100.0, 1000.0):
                 params = params_from_a(float(a), lam)
-                tau = phase_time_moments(moments_closed_form(params), params)
+                tau = phase_time_moments(moments_closed_form(params))
                 assert tau > 0.0
+
+    @pytest.mark.parametrize("w", [1.0, 1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("lam", [100.0, 500.0])
+    def test_quadrature_table_feeds_the_same_times(self, w, lam):
+        # the finite upper limit's tail is e^{-lam (W - a)}: at these points
+        # the two tables give the same times to the quadrature tolerance
+        # (measured: at most 3.2e-10 relative, at W = 2, lam = 100)
+        params = DimensionlessParams(W=w, lam=lam)
+        quad, closed = moments_quadrature(params), moments_closed_form(params)
+        for consumer in (phase_time_moments, model_density_argmax):
+            assert consumer(quad) == pytest.approx(consumer(closed), rel=1e-9)
+
+    @pytest.mark.parametrize("w", [1.0, 1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("lam", [5.0, 20.0])
+    def test_range_check_accepts_quadrature_tables_of_thin_barriers(self, w, lam):
+        # here the finite limit moves tau by up to 62 % (W = 1, lam = 5),
+        # but every combination is still a negative normal float
+        table = moments_quadrature(DimensionlessParams(W=w, lam=lam))
+        for consumer in (phase_time_moments, model_density_argmax):
+            assert 0.0 < consumer(table) < math.inf
 
 
 class TestPhaseTimeSpm:

@@ -134,6 +134,18 @@ def test_interval_validation():
         integrate_adaptive(lambda x: x, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1), (0, math.inf), (-math.inf, 0), (0, math.nan)])
+def test_non_finite_bounds_are_rejected_before_any_evaluation(lo, hi):
+    # nan passes a bare hi <= lo test, and refining an infinite interval
+    # would end as a spent panel budget, which blames the wrong cause
+    def never(x):
+        raise AssertionError("integrand evaluated")
+
+    with pytest.raises(ValueError, match=re.escape(f"[{lo!r}, {hi!r}]")) as exc:
+        integrate_adaptive(never, lo, hi)
+    assert not isinstance(exc.value, QuadratureError)
+
+
 def test_panel_count_reported():
     res = integrate_adaptive(lambda x: x, 0.0, 1.0, initial_panels=4)
     assert res.panels >= 4

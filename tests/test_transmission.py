@@ -226,16 +226,18 @@ class TestStationaryTimeFull:
                     rel = abs(stationary_time_full(kappa, params) - opaque) / opaque
                     assert rel <= max(10.0 * (1.0 + qL) * math.exp(-2.0 * qL), 1e-14)
 
+    @staticmethod
+    def _direct(kappa, W, lam):
+        """The unscaled closed form in mpmath (call it inside mp.workdps(60))."""
+        k, W, lam = mp.mpf(kappa), mp.mpf(W), mp.mpf(lam)
+        q = mp.sqrt(W * W - k * k)
+        u, W4 = q * lam, W**4
+        num = k * (W4 * mp.sinh(2 * u) + 2 * k * k * (W * W - 2 * k * k) * u)
+        return num / (q * (W4 * mp.cosh(2 * u) + 8 * k * k * q * q - W4)) / (k * k)
+
     def test_accurate_as_kappa_approaches_w(self):
         # kappa = W (1 - 10^-r): W^2 - kappa^2 written as a difference cancels,
         # and below u = 1e-2 so would the numerator's O(u) terms
-        def direct(kappa, W, lam):
-            k, W, lam = mp.mpf(kappa), mp.mpf(W), mp.mpf(lam)
-            q = mp.sqrt(W * W - k * k)
-            u, W4 = q * lam, W**4
-            num = k * (W4 * mp.sinh(2 * u) + 2 * k * k * (W * W - 2 * k * k) * u)
-            return num / (q * (W4 * mp.cosh(2 * u) + 8 * k * k * q * q - W4)) / (k * k)
-
         worst = 0.0
         with mp.workdps(60):
             for W in (1.0, 1.2, 2.0, 5.0, 10.0):
@@ -243,10 +245,24 @@ class TestStationaryTimeFull:
                     params = DimensionlessParams(W=W, lam=lam)
                     for r in range(1, 13):
                         kappa = W * (1.0 - 10.0**-r)
-                        oracle = direct(kappa, W, lam)
+                        oracle = self._direct(kappa, W, lam)
                         err = abs((stationary_time_full(kappa, params) - oracle) / oracle)
                         worst = max(worst, float(err))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [1e-160, 1e-300])
+    def test_accurate_at_tiny_kappa(self, kappa):
+        # kappa^2 is subnormal below kappa ~ 1.5e-154 and 0 below ~1.6e-162,
+        # so the time must not be divided by it
+        params = DimensionlessParams(W=1.0, lam=10.0)
+        with mp.workdps(60):
+            oracle = float(self._direct(kappa, 1.0, 10.0))
+        assert stationary_time_full(kappa, params) == pytest.approx(oracle, rel=1e-14)
+
+    def test_time_beyond_the_float_range_raises(self):
+        # the time ~ 1 / kappa overflows at the smallest subnormal kappa
+        with pytest.raises(ValueError, match="float range at kappa = 5e-324"):
+            stationary_time_full(5e-324, DimensionlessParams(W=1.0, lam=10.0))
 
     def test_rejects_kappa_at_or_beyond_w(self):
         params = DimensionlessParams(W=1.0, lam=10.0)
