@@ -1,4 +1,17 @@
-"""Analytic phase-time formulas.
+"""Analytic formulas of the paper: what the numerical phase time is tested against.
+
+Three phase times come out of this module:
+
+* `phase_time_spm` -- the stationary-phase time, 1/a in the opaque limit
+  (divergent at E_M = V0);
+* `stationary_time_full` -- the full stationary-phase expression of the
+  exact barrier phase at one momentum;
+* `phase_time_moments` -- the moment-based closed form below.
+
+Beside them are the opaque-limit amplitude |T| ~ 4 k q e^{-qL} / w^2
+(`amplitude_opaque`) and mean momentum 1 - a/(2 lam) (`mean_k_opaque`).
+The numerical ground truth (`transmission`, `spectrum`, `quadrature`,
+`wavepacket`) imports nothing from here.
 
 In the opaque limit the exit density is governed by the edge integral
 
@@ -12,17 +25,12 @@ whose coefficients are moment combinations
     A = s1^2 - s0 s2,   B = s1 s2 - s0 s3,   C = s2^2 - s0 s4,
 
 all negative here, with moments s(n) = Int (rho + a)^2 rho^n e^{-rho lam}.
-Two phase times come out of this module:
+The moment-based phase time is
 
-* `phase_time_spm`  -- the stationary-phase time, 1/a in the opaque limit
-  (divergent at E_M = V0; the full barrier expression at a given momentum
-  is `transmission.stationary_time_full`);
-* `phase_time_moments` -- the moment-based closed form
+    tau = [2 W^2 B + 4 a A] / [C + 4 a B + 4 a^2 A],
 
-      tau = [2 W^2 B + 4 a A] / [C + 4 a B + 4 a^2 A],
-
-  which reduces to 1/a for a ~ 1 and to (2/9) W^2 lam at a = 0, where the
-  transit time becomes proportional to the barrier width.
+which reduces to 1/a for a ~ 1 and to (2/9) W^2 lam at a = 0, where the
+transit time becomes proportional to the barrier width.
 
 Note: the closed form above drops an O(a*C) numerator term relative to the
 exact stationary point of the quadratic S; `model_density_argmax` keeps it.
@@ -50,7 +58,7 @@ _FACT = [math.factorial(n + 2) for n in range(5)]
 
 
 def _point(params: DimensionlessParams) -> str:
-    """`W = .., lam = ..` for a moment failure: (a lam)^2 can overflow through either."""
+    """`W = .., lam = ..` for a failure: a moment's (a lam)^2 can overflow through either."""
     return f"W = {params.W:g}, lam = {params.lam:g}"
 
 
@@ -191,13 +199,97 @@ def phase_time_moments(moments: MomentTable) -> float:
 def phase_time_spm(params: DimensionlessParams) -> float:
     """Opaque-limit stationary-phase time tau = k_M/q_M = 1/a (E_M t / hbar).
 
-    Diverges at E_M = V0; `transmission.stationary_time_full` is the full
+    Diverges at E_M = V0; `stationary_time_full` is the full
     barrier expression at a given momentum.
     """
     a = params.a
     if a == 0.0:
         raise ValueError("stationary-phase time diverges at E_M = V0 (a = 0)")
     return 1.0 / a
+
+
+def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
+    """Full stationary-phase time tau = E_M t / hbar at one kappa in (0, W).
+
+    Solves the stationarity of phi + k(x-L) - Et/hbar at x = L:
+
+        E t / hbar = k [w^4 sinh(2qL) + 2k^2 (w^2 - 2k^2) qL]
+                     / (q [w^4 cosh(2qL) + 8 k^2 q^2 - w^4])
+
+    (bracket grouping fixed so that the opaque limit reduces to
+    E t/hbar -> k/q), then divides by kappa^2 to convert E t/hbar into
+    E_M t/hbar; the k in front cancels one kappa of it, so no kappa^2 can
+    underflow.  Both brackets are divided by w^4 e^{2u}/2 (u = qL), so
+    nothing overflows at any W and the denominator has no cancellation as
+    q -> 0; with r = k/w and p = q/w:
+
+        k [(1 - e^{-4u}) + 4 r^2 (1 - 2 r^2) u e^{-2u}]
+        / (q [(1 - e^{-2u})^2 + 16 r^2 p^2 e^{-2u}]).
+
+    The numerator's O(u) terms cancel as u -> 0; writing
+    1 + r^2 - 2 r^4 = p^2 (1 + 2 r^2) takes them out:
+
+        k [h + 4 u e^{-2u} p^2 (1 + 2 r^2)],  h = 2 e^{-2u} (sinh 2u - 2u),
+
+    with h from the series of sinh x - x below 2u = 1 and from
+    -expm1(-4u) - 4u e^{-2u} above.  p^2 is formed from q^2 =
+    (w - k)(w + k), not as 1 - r^2, which would cancel as kappa -> W.  The
+    result is within 1e-14 relative of a high-precision evaluation at every
+    u, also as kappa -> W, down to kappa = 1e-300 and up to the largest W
+    that `DimensionlessParams` accepts; ValueError when the time leaves
+    the float range (kappa near 5e-324).
+    """
+    W, lam = params.W, params.lam
+    if not 0.0 < kappa < W:
+        raise ValueError(f"kappa must lie in (0, W), got {kappa}")
+    r = kappa / W
+    r2 = r * r
+    g2 = (W - kappa) * (W + kappa)  # no cancellation as kappa -> W
+    p2 = g2 / (W * W)
+    g = math.sqrt(g2)
+    u = lam * g
+    e = math.exp(-2.0 * u)
+    em = math.expm1(-2.0 * u)  # e - 1
+    if 2.0 * u < 1.0:  # series of sinh x - x, x = 2u; x^21/21! is < 1e-19 of the sum
+        h = 2.0 * e * sum((2.0 * u) ** n / math.factorial(n) for n in range(3, 21, 2))
+    else:
+        h = -math.expm1(-4.0 * u) - 4.0 * u * e
+    num = h + 4.0 * u * e * p2 * (1.0 + 2.0 * r2)
+    den = g * (em * em + 16.0 * r2 * p2 * e)
+    # den is subnormal or 0 only when u and kappa/W are both below ~1e-154
+    tau = num / den / kappa if den >= sys.float_info.min else math.nan
+    if not tau < math.inf:  # nan fails it too
+        raise ValueError(f"stationary time leaves the float range at kappa = {kappa!r}, "
+                         f"W = {W:g}, lam = {lam:g}")
+    return tau
+
+
+def amplitude_opaque(kappa, params: DimensionlessParams):
+    """Opaque-limit modulus 4 k q e^{-qL} / w^2, valid for qL >> 1.
+
+    Returns 0 at kappa = W where the prefactor vanishes.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all((kappa > 0.0) & (kappa <= 1.0)):
+        raise ValueError("kappa must lie in (0, 1]")
+    W, lam = params.W, params.lam
+    g = np.sqrt((W - kappa) * (W + kappa))  # kappa <= 1 <= W
+    out = 4.0 * kappa * g * np.exp(-lam * g) / (W * W)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def mean_k_opaque(params: DimensionlessParams) -> float:
+    """Opaque-limit mean momentum 1 - a/(2 lam); exactly 1 at E_M = V0.
+
+    A mean momentum lies in (0, 1], and 1 - a/(2 lam) does only for
+    lam > a/2; elsewhere ValueError names W and lam.
+    """
+    half_a = params.a / 2.0
+    if not params.lam > half_a:
+        raise ValueError(f"opaque mean momentum 1 - a/(2 lam) is not in (0, 1] at {_point(params)}")
+    return 1.0 - half_a / params.lam
 
 
 def transit_velocity(tau: float, params: DimensionlessParams) -> float:

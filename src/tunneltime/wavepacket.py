@@ -7,8 +7,9 @@ stationary states; at the exit x = L it is
 
 with tau = E_M t / hbar.  The paper's numerical phase time is the arrival
 of the peak of |Phi_T|^2 there, so the wave is only ever sampled at the
-exit.  The exact amplitude is used throughout; the opaque-limit
-approximation lives in `phasetime` so the numerical ground truth stays
+exit.  The exact amplitude is used throughout; every analytic formula,
+the opaque-limit approximations among them, lives in `phasetime`, which
+this module does not import, so the numerical ground truth stays
 independent of the model being tested.
 
 One engine evaluates it (`transmitted_integral`).  It refines the
@@ -19,7 +20,7 @@ accepted panel is at most half a seed panel, n/4 rad, where the n-point
 Gauss-Legendre error on the chirp is about (e/32)^{2n} (Abramowitz &
 Stegun 25.4).  Near E_M = V0 the barrier filters the packet onto a thin strip
 below the cutoff, so the refinement runs on the support [kappa_c, 1] only
-(`spectrum.support_cut`): kappa_c comes from bounds on |T| alone, and the
+(`support_cut`): kappa_c comes from bounds on |T| alone, and the
 mass it drops moves Phi_T by at most eps/2 * sum|amp| (eps the machine
 epsilon; |Phi_T| ~ sum|amp| at the peak).  amp_j is each accepted
 node's weight times the factor the refinement evaluated there, and
@@ -76,7 +77,7 @@ class TransmittedWave:
     amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}, g at
     unit norm (`norm` enters `__call__` and, squared, `densities`), on every
     node of the accepted composite rule of `panels` panels on [kappa_c, 1]
-    (`spectrum.support_cut`; the cut moves Phi by at most eps/2 * sum|amp|);
+    (`support_cut`; the cut moves Phi by at most eps/2 * sum|amp|);
     s_j = (kappa_j - 1)(kappa_j + 1).  weights_j = w_j is the kappa-measure
     d kappa of node j, so |amp_j|^2 / weights_j = w_j g^2 |T|^2 e^{2 log_scale}
     is the transmitted weight that `transmitted_mean_k` averages kappa over.
@@ -153,6 +154,50 @@ class TransmittedWave:
         return scaled_density * math.exp(-2.0 * self.log_scale)
 
 
+def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
+    """Largest kappa_c whose cut [0, kappa_c] drops at most eps/2 * sum|amp|.
+
+    The support [kappa_c, 1] of the engine (`transmitted_integral`), whose
+    node set both transmitted integrals are read off: the wave and, from
+    its nodes, the mean momentum (`transmitted_mean_k`).
+    With x = lam (q - a), q = sqrt(W^2 - kappa^2), `transmission._kernel`
+    gives e^{-x} / sqrt(1 + b^2) <= |T| e^{a lam} <= 2 e^{-x}: its
+    denominator lies between 1 and 2 sqrt(1 + b^2).  On [0, kappa_c] the
+    mass of g |T| is therefore at most 2 max(g) e^{-x_c}.  On [kappa_1, 1],
+    where x <= 1, it is at least (1 - kappa_1) min(g) e^{-1} / sqrt(1 + b^2)
+    with g and |b| = |2 kappa^2 - W^2| lam / (2 kappa) at their extremes,
+    which they take at the endpoints.  The cut is the smallest x_c at which
+    the upper bound meets eps/2 times the lower one.  Both bounds scale
+    with the norm, so they are taken at norm 1 and kappa_c does not depend
+    on it.  Returns 0 when no cut can be certified: x_c reaches
+    lam (W - a) (kappa = 0), or the lower bound underflows.  Raises
+    ValueError when kappa_c rounds to 1, which leaves no support (at W = 1
+    from lam about 1e10, where the cut's q_c - a falls below 1e-8).
+    """
+    W, lam, a = params.W, params.lam, params.a
+    reach = lam * (W - a)  # x at kappa = 0
+    if not reach > 1.0:
+        return 0.0
+    q1 = a + 1.0 / lam
+    kappa1 = math.sqrt((W - q1) * (W + q1))
+    unit = Spectrum(spec.kappa0, spec.delta)
+    g = min(_spectrum.evaluate(unit, kappa1), _spectrum.evaluate(unit, 1.0))
+    b = max(abs(2.0 * k * k - W * W) * lam / (2.0 * k) for k in (kappa1, 1.0))
+    # 1 - kappa_1 = (1 - kappa_1^2) / (1 + kappa_1) = (q_1 - a)(q_1 + a) / (1 + kappa_1)
+    width = (q1 + a) / (lam * (1.0 + kappa1))
+    lower = width * g * math.exp(-1.0) / math.sqrt(1.0 + b * b)
+    if not lower > 0.0:
+        return 0.0
+    x_cut = math.log(4.0 / np.finfo(float).eps) - math.log(lower)  # 2 e^{-x} = eps/2 * lower
+    if x_cut >= reach:
+        return 0.0
+    q_cut = a + x_cut / lam
+    if (kappa_cut := math.sqrt((W - q_cut) * (W + q_cut))) < 1.0:
+        return kappa_cut
+    raise ValueError(f"the transmitted packet lies within double rounding of kappa = 1 "
+                     f"at lam = {lam:.6g}")
+
+
 def transmitted_integral(
     spec: Spectrum,
     params: DimensionlessParams,
@@ -162,7 +207,7 @@ def transmitted_integral(
     """Transmitted wave at the exit for every |tau| <= |time|.
 
     The amplitude factor is refined to settings.rel_tol on the support
-    [kappa_c, 1] (`spectrum.support_cut`), from the uniform panels that
+    [kappa_c, 1] (`support_cut`), from the uniform panels that
     resolve e^{-i kappa^2 time} there.  Raises ValueError: QuadratureError
     when that needs more than settings.max_panels panels or a panel too
     narrow to halve in double precision, and `support_cut`'s ValueError
@@ -175,7 +220,7 @@ def transmitted_integral(
     settings = settings or QuadratureSettings()
     log_scale = params.a * params.lam
     unit = Spectrum(spec.kappa0, spec.delta)
-    kappa_cut = _spectrum.support_cut(spec, params)
+    kappa_cut = support_cut(spec, params)
 
     def amplitude(kappa: np.ndarray) -> np.ndarray:
         mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)

@@ -15,6 +15,7 @@ import pytest
 from tunneltime.experiments import build_config, run_experiment
 from tunneltime.peakfind import peak_arrival
 from tunneltime.phasetime import (
+    amplitude_opaque,
     model_density,
     model_density_argmax,
     moments_closed_form,
@@ -24,7 +25,7 @@ from tunneltime.phasetime import (
 )
 from tunneltime.quadrature import QuadratureSettings
 from tunneltime.spectrum import Spectrum
-from tunneltime.transmission import _kernel, amplitude_opaque, modulus_phase
+from tunneltime.transmission import _kernel, modulus_phase
 from tunneltime.units import DimensionlessParams
 from tunneltime.wavepacket import transmitted_integral
 

@@ -1,6 +1,8 @@
 """The package namespace: each public name has one import path, its home
 submodule, and a bare `import tunneltime` loads none of them; every name
-the README and the docstrings cite by that path exists."""
+the README and the docstrings cite by that path exists.  The numerical
+ground truth imports nothing from `phasetime`, the analytic formulas it
+is tested against."""
 
 import ast
 import importlib
@@ -26,6 +28,17 @@ README = SRC.parent / "README.md"
 NAMED_REFERENCE = re.compile(r"`(?:tunneltime\.)?(\w+)((?:\.\w+){1,2})[`(]")
 
 SUBMODULES = ("peakfind", "phasetime", "quadrature", "spectrum", "transmission", "units", "wavepacket")
+
+# the modules the numerical phase time is computed with
+GROUND_TRUTH = ("quadrature", "spectrum", "transmission", "wavepacket")
+
+# analytic formula or engine piece: (module it left, its one home)
+MOVED = {
+    "amplitude_opaque": ("transmission", "phasetime"),
+    "stationary_time_full": ("transmission", "phasetime"),
+    "mean_k_opaque": ("spectrum", "phasetime"),
+    "support_cut": ("spectrum", "wavepacket"),
+}
 
 # run in a fresh interpreter; prints one JSON object of findings
 PROBE = (
@@ -119,3 +132,27 @@ def test_named_references_resolve(source):
     ]
     assert len(found) >= 10  # the README cites 21, the docstrings 16
     assert [f"{module}.{'.'.join(names)}" for module, names in found if not _resolves(module, names)] == []
+
+
+def _imported_names(module: str):
+    """Every dotted name an import statement of tunneltime.<module> mentions."""
+    tree = ast.parse((SRC / "tunneltime" / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", GROUND_TRUTH)
+def test_ground_truth_imports_nothing_from_phasetime(module):
+    assert [name for name in _imported_names(module) if "phasetime" in name.split(".")] == []
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_names_live_only_in_their_home(name):
+    old, home = MOVED[name]
+    assert not hasattr(importlib.import_module(f"tunneltime.{old}"), name)
+    assert getattr(importlib.import_module(f"tunneltime.{home}"), name).__module__ == f"tunneltime.{home}"

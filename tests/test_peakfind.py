@@ -90,7 +90,7 @@ def test_peak_scaling_invariance():
     density = abs(scaled.wave(scaled.tau_peak)) ** 2
     assert density == pytest.approx(9.0 * abs(base.wave(base.tau_peak)) ** 2, rel=1e-9, abs=0.0)
     # the support cut is computed at norm = 1, so the node set is the same
-    scaled_cut, base_cut = (spectrum_mod.support_cut(s, params) for s in (Spectrum(norm=3.0), SPEC))
+    scaled_cut, base_cut = (wavepacket.support_cut(s, params) for s in (Spectrum(norm=3.0), SPEC))
     assert scaled_cut == base_cut > 0.0
     np.testing.assert_array_equal(scaled.wave.s, base.wave.s)
     np.testing.assert_array_equal(scaled.wave.weights, base.wave.weights)
@@ -344,7 +344,7 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam):
     params = DimensionlessParams(W=w, lam=lam)
     scan = peak_arrival(SPEC, params)
     wave = scan.wave
-    cut = spectrum_mod.support_cut(SPEC, params)
+    cut = wavepacket.support_cut(SPEC, params)
     n = QuadratureSettings().nodes_per_panel
 
     def amplitude(kappa):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunneltime import wavepacket
+from tunneltime.phasetime import mean_k_opaque
 from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
-from tunneltime.spectrum import Spectrum, evaluate, mean_k_opaque, support_cut
+from tunneltime.spectrum import Spectrum, evaluate
 from tunneltime.units import DimensionlessParams
-from tunneltime.wavepacket import transmitted_integral, transmitted_mean_k
+from tunneltime.wavepacket import support_cut, transmitted_integral, transmitted_mean_k
 
 # Int kappa g^2 |T|^2 / Int g^2 |T|^2 at lam = 100 (kappa0 = 0.5, delta = 10),
 # with |T|^2 = 1 / (cosh^2 u + b^2 sinh^2(u) / u^2), by mpmath Gauss-Legendre
@@ -197,6 +199,15 @@ def test_mean_k_opaque_approaches_one():
     gaps = [1.0 - mean_k_opaque(DimensionlessParams(W=W, lam=lam)) for lam in (1e2, 1e4, 1e6)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 1e-6
+
+
+@pytest.mark.parametrize("W,lam", [(1.0, 0.0), (1.5, 0.0), (1.5, 0.1), (1.25, 0.375), (1e20, 1e-300)])
+def test_mean_k_opaque_raises_where_it_is_no_mean_momentum(W, lam):
+    # 1 - a/(2 lam) lies in (0, 1] only for lam > a/2 (a = 0.75 at W = 1.25)
+    with pytest.raises(ValueError, match=re.escape(f"W = {W:g}, lam = {lam:g}")):
+        mean_k_opaque(DimensionlessParams(W=W, lam=lam))
+    above = DimensionlessParams(W=1.25, lam=math.nextafter(0.375, 1.0))
+    assert 0.0 < mean_k_opaque(above) < 1e-15
 
 
 def test_mean_k_opaque_close_to_exact_in_opaque_regime():

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunneltime.transmission import (
-    _kernel,
-    amplitude_opaque,
-    modulus_phase,
-    stationary_time_full,
-)
+from tunneltime.phasetime import amplitude_opaque, stationary_time_full
+from tunneltime.transmission import _kernel, modulus_phase
 from tunneltime.units import DimensionlessParams
 
 mp.mp.dps = 40
@@ -228,7 +224,7 @@ class TestStationaryTimeFull:
 
     @staticmethod
     def _direct(kappa, W, lam):
-        """The unscaled closed form in mpmath (call it inside mp.workdps(60))."""
+        """The unscaled closed form in mpmath (call it inside mp.workdps, 60 digits or more)."""
         k, W, lam = mp.mpf(kappa), mp.mpf(W), mp.mpf(lam)
         q = mp.sqrt(W * W - k * k)
         u, W4 = q * lam, W**4
@@ -258,6 +254,18 @@ class TestStationaryTimeFull:
         with mp.workdps(60):
             oracle = float(self._direct(kappa, 1.0, 10.0))
         assert stationary_time_full(kappa, params) == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("W", [1e20, 1e77, 1e78, 1e100, 1e150, 1.3e154])
+    def test_accurate_at_large_w(self, W):
+        # W^4 overflows from W ~ 1.2e77, while W^2 stays finite up to the
+        # largest W DimensionlessParams accepts; at lam = 1e-300 the reference's
+        # cosh(2u) - 1 needs u^2 ~ 1e-560 resolved, hence 700 digits
+        with mp.workdps(700):
+            for lam in (1e-300, 1e-160, 1e-100, 1e-20, 1.0):
+                params = DimensionlessParams(W=W, lam=lam)
+                for kappa in (1e-3, 0.5, 0.999):
+                    oracle = float(self._direct(kappa, W, lam))
+                    assert stationary_time_full(kappa, params) == pytest.approx(oracle, rel=1e-14)
 
     def test_time_beyond_the_float_range_raises(self):
         # the time ~ 1 / kappa overflows at the smallest subnormal kappa

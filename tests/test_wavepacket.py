@@ -4,9 +4,9 @@ import pytest
 from scipy.special import erf
 
 from tunneltime.quadrature import QuadratureSettings
-from tunneltime.spectrum import Spectrum, support_cut
+from tunneltime.spectrum import Spectrum
 from tunneltime.units import DimensionlessParams
-from tunneltime.wavepacket import transmitted_integral
+from tunneltime.wavepacket import support_cut, transmitted_integral
 
 # 1e6-node trapezoid oracle, W = 1, lam = 100, kappa0 = 0.5, delta = 10
 DENSITY_AT_2141 = 2.715531178453792e-16
