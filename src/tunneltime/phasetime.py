@@ -267,7 +267,8 @@ def stationary_time_full(kappa: float, params: DimensionlessParams) -> float:
 def amplitude_opaque(kappa, params: DimensionlessParams):
     """Opaque-limit modulus 4 k q e^{-qL} / w^2, valid for qL >> 1.
 
-    Returns 0 at kappa = W where the prefactor vanishes.
+    kappa must lie in (0, 1]; returns 0 at kappa = W = 1, where the
+    prefactor q vanishes.
     """
     kappa = np.asarray(kappa, dtype=float)
     if not np.all((kappa > 0.0) & (kappa <= 1.0)):

@@ -203,9 +203,13 @@ def test_mean_k_opaque_approaches_one():
 
 @pytest.mark.parametrize("W,lam", [(1.0, 0.0), (1.5, 0.0), (1.5, 0.1), (1.25, 0.375), (1e20, 1e-300)])
 def test_mean_k_opaque_raises_where_it_is_no_mean_momentum(W, lam):
-    # 1 - a/(2 lam) lies in (0, 1] only for lam > a/2 (a = 0.75 at W = 1.25)
+    # 1 - a/(2 lam) lies in (0, 1] only for lam > a/2
     with pytest.raises(ValueError, match=re.escape(f"W = {W:g}, lam = {lam:g}")):
         mean_k_opaque(DimensionlessParams(W=W, lam=lam))
+
+
+def test_mean_k_opaque_is_defined_just_above_half_a():
+    # a = 0.75 at W = 1.25: the next double above lam = a/2 is accepted
     above = DimensionlessParams(W=1.25, lam=math.nextafter(0.375, 1.0))
     assert 0.0 < mean_k_opaque(above) < 1e-15
 
