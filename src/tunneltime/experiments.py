@@ -71,6 +71,12 @@ def _as_opt_float(raw) -> float | None:
     return None if str(raw).strip() == "" else float(raw)
 
 
+def _as_file(raw) -> Path:
+    if os.path.basename(str(raw)) in ("", ".", ".."):  # Path("sub/") would name a file "sub"
+        raise ValueError("expected a file name")
+    return Path(raw)
+
+
 #: CSV column header -> (ResultRow field, cell parser); one table drives
 #: CSV_HEADER, write_rows and read_rows.
 _COLUMNS = (
@@ -188,7 +194,7 @@ _KEYS = {
     "tau_min": (PeakSearchConfig, "tau_min", _as_opt_float),
     "tau_max": (PeakSearchConfig, "tau_max", _as_opt_float),
     "coarse_points": (PeakSearchConfig, "coarse_points", int),
-    "out": (ExperimentConfig, "out", Path),
+    "out": (ExperimentConfig, "out", _as_file),
     "trace": (ExperimentConfig, "trace", _as_bool),
     "plot_script": (ExperimentConfig, "plot_script", _as_bool),
     "workers": (ExperimentConfig, "workers", int),
@@ -206,9 +212,7 @@ def build_config(
     """
     values = dict(file_values or {})
     values.update((key, val) for key, val in (overrides or {}).items() if val is not None)
-    if experiment not in _GRIDS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    lambdas, w_ratios = _GRIDS[experiment]
+    lambdas, w_ratios = _GRIDS.get(experiment, ((), ()))  # ExperimentConfig names an unknown one
     fields: dict[type, dict[str, object]] = {
         ExperimentConfig: {"experiment": experiment, "lambdas": lambdas, "w_ratios": w_ratios},
         Spectrum: {},
@@ -248,7 +252,8 @@ def compute_row(
     tau_spm (opaque stationary phase, 1/a) is None at a = 0, where it
     diverges; tau_num (simulated peak arrival) and tau_new (moments) both
     come from peak_arrival, which places its search window from tau_new.
-    Failures are captured in the note
+    ratio_ana_num = 100 tau_num / tau_new is v_new / v_num in percent, as
+    v = lam / (tau W); v_transit is v_num.  Failures are captured in the note
     column so that sweeps can continue; window hits and unrefined peaks are
     reported the same way (the result is untrustworthy until the caller
     widens the window, or the peak is bracketed).
@@ -263,9 +268,7 @@ def compute_row(
         params = DimensionlessParams(W=w, lam=lam)
         tau_spm = None if params.a == 0.0 else phasetime.phase_time_spm(params)
         peak = peakfind.peak_arrival(spec, params, peak_config, settings)
-        tau_new = peak.tau_new
         v_transit = phasetime.transit_velocity(peak.tau_peak, params)
-        ratio_ana_num = 100.0 * phasetime.transit_velocity(tau_new, params) / v_transit
     except ValueError as exc:
         return ResultRow(lam=lam, w=w, note=f"failed: {exc}")
     # the peak-search note goes first: ResultRow.failed reads the prefix
@@ -280,10 +283,10 @@ def compute_row(
         lam=lam,
         w=w,
         tau_spm=tau_spm,
-        tau_new=tau_new,
+        tau_new=peak.tau_new,
         tau_num=peak.tau_peak,
         v_transit=v_transit,
-        ratio_ana_num=ratio_ana_num,
+        ratio_ana_num=100.0 * peak.tau_peak / peak.tau_new,
         panels_max=peak.wave.panels,
         refine_iters=peak.refine_iters,
         note="; ".join(notes),

@@ -17,8 +17,8 @@ representable.  The bracket is trusted on one test: the slope falls from
 `peak_arrival` is the whole search, and its result carries the scan, the
 engine it ran on and the moment phase time tau_new that placed the
 window: it computes tau_new once (closed-form moments), and one rule
-(`search_window`) fills each unset window bound from
-`default_window(tau_new)`; a set bound that empties the window is an
+(`search_window`) fills each unset window bound, tau_min = 0.1 tau_new
+and tau_max = 5 tau_new + 10; a set bound that empties the window is an
 error naming tau_new.
 """
 
@@ -56,16 +56,10 @@ class PeakResult:
         return list(zip(self.taus, self.wave.unscale(self.densities).tolist()))
 
 
-def default_window(tau_reference: float) -> tuple[float, float]:
-    """Bracketing window around an expected peak time."""
-    return 0.1 * tau_reference, 5.0 * tau_reference + 10.0
-
-
 def search_window(config: PeakSearchConfig, tau_new: float) -> tuple[float, float]:
-    """(tau_min, tau_max): config's bounds, each unset one from default_window(tau_new)."""
-    auto_min, auto_max = default_window(tau_new)
-    tau_min = auto_min if config.tau_min is None else config.tau_min
-    tau_max = auto_max if config.tau_max is None else config.tau_max
+    """(tau_min, tau_max) of config; unset, tau_min is 0.1 tau_new and tau_max 5 tau_new + 10."""
+    tau_min = 0.1 * tau_new if config.tau_min is None else config.tau_min
+    tau_max = 5.0 * tau_new + 10.0 if config.tau_max is None else config.tau_max
     if not tau_min < tau_max:
         auto = "tau_min" if config.tau_min is None else "tau_max"
         raise ValueError(f"empty search window [{tau_min:.6g}, {tau_max:.6g}]: the automatic "

@@ -294,10 +294,17 @@ def mean_k_opaque(params: DimensionlessParams) -> float:
 
 
 def transit_velocity(tau: float, params: DimensionlessParams) -> float:
-    """Barrier width over phase time, in units sqrt(V0 / 2m): lam / (tau W)."""
+    """Barrier width over phase time, in units sqrt(V0 / 2m): lam / (tau W).
+
+    Raises ValueError unless tau > 0, and when lam > 0 but lam / (tau W)
+    underflows to 0 or overflows.
+    """
     if not tau > 0.0:
         raise ValueError(f"transit time must be positive, got {tau}")
-    return params.lam / (tau * params.W)
+    velocity = params.lam / (tau * params.W)
+    if params.lam > 0.0 and not 0.0 < velocity < math.inf:
+        raise ValueError(f"lam / (tau W) leaves the float range at tau = {tau:g}, {_point(params)}")
+    return velocity
 
 
 def expansion_coefficients(params: DimensionlessParams):

@@ -15,7 +15,10 @@ The validated inputs of a run live here too: the packet's `Spectrum`, the
 `QuadratureSettings` and the `PeakSearchConfig`.  Like the parameters,
 each checks its own ranges on construction.  None of them needs numpy, so
 a config is built and checked before the numeric modules load; those
-modules import these types from here.
+modules import these types from here.  Only what a run sets is a field:
+the spectrum's upper limit kappa = 1 is fixed by the units and written in
+`spectrum.evaluate`, and the automatic window bounds are written in
+`peakfind.search_window`.
 """
 
 from __future__ import annotations
@@ -108,9 +111,6 @@ class Spectrum:
     kappa0: float = 0.5
     delta: float = 10.0
     norm: float = 1.0
-
-    #: upper support limit in kappa = k/k_M; the pure-tunneling restriction
-    cutoff = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.kappa0 < 1.0:

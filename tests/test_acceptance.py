@@ -23,10 +23,8 @@ from tunneltime.phasetime import (
     phase_time_moments,
     transit_velocity,
 )
-from tunneltime.quadrature import QuadratureSettings
-from tunneltime.spectrum import Spectrum
 from tunneltime.transmission import _kernel, modulus_phase
-from tunneltime.units import DimensionlessParams
+from tunneltime.units import DimensionlessParams, QuadratureSettings, Spectrum
 from tunneltime.wavepacket import transmitted_integral
 
 # Reference data: width grid with peak times [hbar/V0], transit velocities

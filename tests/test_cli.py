@@ -327,6 +327,16 @@ def test_every_flag_is_one_untyped_config_key():
     assert [a.dest for a in flags if a.type is not None] == []
 
 
+@pytest.mark.parametrize("out", ["sub/", "", ".", ".."])
+def test_out_that_names_no_file_is_rejected_before_the_run(tmp_path, monkeypatch, capsys, out):
+    # Path("sub/") drops the slash, so the run would write a file "sub"
+    monkeypatch.chdir(tmp_path)
+    assert main(["single", "--lambda", "30", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"tunneltime: invalid config: bad value for 'out': {out!r} (expected a file name)")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_is_reported_not_raised(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "row.csv"
     assert main(["single", "--lambda", "30", "--out", str(out)]) == 1

@@ -30,11 +30,9 @@ from tunneltime.experiments import (
     write_rows,
     write_trace,
 )
-from tunneltime.peakfind import PeakSearchConfig, default_window, peak_arrival
+from tunneltime.peakfind import peak_arrival, search_window
 from tunneltime.phasetime import moments_closed_form, phase_time_moments, transit_velocity
-from tunneltime.quadrature import QuadratureSettings
-from tunneltime.spectrum import Spectrum
-from tunneltime.units import DimensionlessParams
+from tunneltime.units import DimensionlessParams, PeakSearchConfig, QuadratureSettings, Spectrum
 
 FAST_QUAD = {"rel_tol": "1e-7"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,6 +152,13 @@ class TestRows:
         assert row.tau_spm is None and row.note.startswith("tau_spm diverges")
         assert row.tau_num == pytest.approx(21.41, rel=0.01)
         assert row.ratio_ana_num == pytest.approx(96.33, abs=0.5)
+
+    def test_ratio_is_the_time_ratio_bit_for_bit(self):
+        # v = lam / (tau W), so v_new / v_num is tau_num / tau_new in one rounding
+        rows, _ = run_experiment(build_config("table1", {"lambda": "50, 250, 500"}))
+        assert [row.note for row in rows] == ["tau_spm diverges (E_M = V0)"] * 3
+        for row in rows:
+            assert row.ratio_ana_num == 100.0 * row.tau_num / row.tau_new
 
     def test_failed_row_noted_and_sweep_continues(self):
         # absurdly small panel cap: quadrature fails, row carries the note
@@ -526,7 +531,7 @@ class TestSweeps:
         # the trace is the coarse scan of the row's own peak search
         config = small_config(**{"lambda": "60", "w_ratio": "1.2"})
         params = DimensionlessParams(W=1.2, lam=60.0)
-        lo, hi = default_window(phase_time_moments(moments_closed_form(params)))
+        lo, hi = search_window(PeakSearchConfig(), phase_time_moments(moments_closed_form(params)))
         step = (hi - lo) / 31
         trace = density_trace(config, 60.0, 1.2)
         assert [tau for tau, _ in trace] == [lo + i * step for i in range(32)]

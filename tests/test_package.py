@@ -156,3 +156,36 @@ def test_moved_names_live_only_in_their_home(name):
     old, home = MOVED[name]
     assert not hasattr(importlib.import_module(f"tunneltime.{old}"), name)
     assert getattr(importlib.import_module(f"tunneltime.{home}"), name).__module__ == f"tunneltime.{home}"
+
+
+def test_inlined_rules_have_no_name():
+    # the automatic window is written in search_window, kappa <= 1 in spectrum.evaluate
+    assert not hasattr(importlib.import_module("tunneltime.peakfind"), "default_window")
+    assert not hasattr(importlib.import_module("tunneltime.units").Spectrum, "cutoff")
+
+
+def _defined_names(module: str) -> set[str]:
+    """The names tunneltime.<module> defines at top level: a def, a class or an assignment."""
+    tree = ast.parse((SRC / "tunneltime" / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("folder", ["tests", "scripts"])
+def test_names_are_imported_from_their_home(folder):
+    # `from tunneltime.<m> import <name>` takes a name <m> defines, not one it imports
+    found = []
+    for path in sorted((SRC.parent / folder).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tunneltime."):
+                module = node.module.removeprefix("tunneltime.")
+                found += [(f"{path.name}:{node.lineno} {module}.{alias.name}",
+                           alias.name in _defined_names(module)) for alias in node.names]
+    assert found  # scripts/ imports cli.main
+    assert [where for where, defined in found if not defined] == []

@@ -9,10 +9,9 @@ import sympy
 from tunneltime import phasetime, transmission, wavepacket
 from tunneltime import spectrum as spectrum_mod
 from tunneltime.experiments import build_config, compute_row
-from tunneltime.peakfind import PeakSearchConfig, default_window, peak_arrival
-from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
-from tunneltime.spectrum import Spectrum
-from tunneltime.units import DimensionlessParams
+from tunneltime.peakfind import peak_arrival, search_window
+from tunneltime.quadrature import integrate_adaptive
+from tunneltime.units import DimensionlessParams, PeakSearchConfig, QuadratureSettings, Spectrum
 from tunneltime.wavepacket import transmitted_integral
 
 # peak times of the exit density (kappa0 = 0.5, delta = 10), to 20 digits:
@@ -44,7 +43,7 @@ def test_config_validation():
 
 
 def test_default_window_brackets_reference_peak():
-    lo, hi = default_window(22.222)
+    lo, hi = search_window(PeakSearchConfig(), 22.222)
     assert lo < 21.41 < hi
 
 
@@ -231,11 +230,11 @@ def test_window_hit_flagged_not_raised():
 
 def test_window_filled_from_the_moment_tau_new(monkeypatch):
     # peak_arrival forms tau_new from the closed-form moments, once per
-    # call, fills the unset bounds from default_window(tau_new) and hands
+    # call, fills the unset bounds from tau_new (search_window) and hands
     # tau_new back bit for bit
     params = DimensionlessParams(W=1.0, lam=100.0)
     tau_new = phasetime.phase_time_moments(phasetime.moments_closed_form(params))
-    lo, hi = default_window(tau_new)
+    lo, hi = search_window(PeakSearchConfig(), tau_new)
     fixed = PeakSearchConfig(tau_min=lo, tau_max=hi, coarse_points=32)
     expected = peak_arrival(SPEC, params, fixed)
     calls = []

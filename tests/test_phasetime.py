@@ -354,6 +354,16 @@ class TestTransitVelocity:
         with pytest.raises(ValueError):
             transit_velocity(0.0, DimensionlessParams(W=1.0, lam=1.0))
 
+    @pytest.mark.parametrize("tau, w, lam", [(1.0, 1e154, 1e-300), (1e-300, 1.0, 1e300)])
+    def test_raises_where_the_velocity_leaves_the_float_range(self, tau, w, lam):
+        # lam / (tau W) underflows to 0 at the first point and overflows at the second
+        params = DimensionlessParams(W=w, lam=lam)
+        with pytest.raises(ValueError, match=re.escape(phasetime._point(params))):
+            transit_velocity(tau, params)
+
+    def test_zero_width_has_zero_velocity(self):
+        assert transit_velocity(1.0, DimensionlessParams(W=1e154, lam=0.0)) == 0.0
+
 
 class TestExpansionCoefficients:
     def test_energy_series_loses_linear_term_at_a_zero(self):

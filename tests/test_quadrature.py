@@ -8,10 +8,10 @@ from scipy.special import erf
 
 from tunneltime.quadrature import (
     QuadratureError,
-    QuadratureSettings,
     _gl_nodes,
     integrate_adaptive,
 )
+from tunneltime.units import QuadratureSettings
 
 
 def test_settings_validation():

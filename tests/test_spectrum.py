@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from tunneltime import wavepacket
 from tunneltime.phasetime import mean_k_opaque
-from tunneltime.quadrature import QuadratureSettings, integrate_adaptive
-from tunneltime.spectrum import Spectrum, evaluate
-from tunneltime.units import DimensionlessParams
+from tunneltime.quadrature import integrate_adaptive
+from tunneltime.spectrum import evaluate
+from tunneltime.units import DimensionlessParams, QuadratureSettings, Spectrum
 from tunneltime.wavepacket import support_cut, transmitted_integral, transmitted_mean_k
 
 # Int kappa g^2 |T|^2 / Int g^2 |T|^2 at lam = 100 (kappa0 = 0.5, delta = 10),

@@ -3,9 +3,7 @@ import math
 import pytest
 from scipy.special import erf
 
-from tunneltime.quadrature import QuadratureSettings
-from tunneltime.spectrum import Spectrum
-from tunneltime.units import DimensionlessParams
+from tunneltime.units import DimensionlessParams, QuadratureSettings, Spectrum
 from tunneltime.wavepacket import support_cut, transmitted_integral
 
 # 1e6-node trapezoid oracle, W = 1, lam = 100, kappa0 = 0.5, delta = 10
