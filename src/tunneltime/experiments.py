@@ -72,7 +72,8 @@ def _as_opt_float(raw) -> float | None:
 
 
 def _as_file(raw) -> Path:
-    if os.path.basename(str(raw)) in ("", ".", ".."):  # Path("sub/") would name a file "sub"
+    # Path("sub/") would name a file "sub"; a directory fails only at the write
+    if os.path.basename(str(raw)) in ("", ".", "..") or os.path.isdir(raw):
         raise ValueError("expected a file name")
     return Path(raw)
 

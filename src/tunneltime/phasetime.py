@@ -151,7 +151,7 @@ def moments_quadrature(
     settings = settings or QuadratureSettings(rel_tol=1e-10)
     a, lam = params.a, params.lam
     rule = integrate_adaptive(
-        lambda rho: (rho + a) ** 2 * np.exp(-rho * lam), 0.0, params.W - a, settings
+        lambda rho: (rho + a) ** 2 * np.exp(-rho * lam), (0.0, params.W - a), settings
     )
     # einsum, not `@`: no BLAS call, as in `quadrature._panel_integrals`
     s = np.einsum("ij,j->i", rule.x ** np.arange(1, 5)[:, None], rule.w * rule.samples)

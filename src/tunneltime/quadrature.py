@@ -2,18 +2,11 @@
 
 Panels are bisected breadth-first until the Richardson-style error estimate
 |I(panel) - I(left half) - I(right half)| fits a per-panel budget of
-rel_tol * |integral| times the panel's share of the interval width, floored
-at an equal share 1 / (panel count).  The floor lets a refinement graded
-toward one end stop once its small panels' absolute contribution is
-negligible.  The transmitted packet at W = 1 needs it: its integrand is
-analytic at the cutoff kappa = 1 (T depends on kappa only through
-u^2 = lam^2 (1 - kappa^2)), but the square root in u = lam sqrt(1 - kappa^2)
-shrinks its length scale in kappa toward the cutoff, so the panels grade
-there.  A panel with no double strictly inside it cannot be halved, and
-raises QuadratureError rather than pass on a zero error estimate.  All
-pending panels are evaluated in one vectorized call per sweep
-(`QuadratureSettings` caps it at 2^21 nodes), which keeps the boundary-layer
-refinement near the spectrum cutoff cheap.  The integrand must accept an
+rel_tol * |integral| times the panel's share of the interval width.  A
+panel with no double strictly inside it cannot be halved, and raises
+QuadratureError rather than pass on a zero error estimate.  All pending
+panels are evaluated in one vectorized call per sweep
+(`QuadratureSettings` caps it at 2^21 nodes).  The integrand must accept an
 ndarray of abscissae and return an ndarray of values (real or complex; a
 real integrand keeps real samples).  The result is the accepted composite
 rule, its nodes and weights exactly as f was evaluated on them, and f there.
@@ -21,7 +14,6 @@ rule, its nodes and weights exactly as f was evaluated on them, and f there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,40 +77,36 @@ def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int):
     return width * np.einsum("ij,j->i", vals, w01), nodes, width[:, None] * w01, vals
 
 
-def integrate_adaptive(
-    f,
-    lo: float,
-    hi: float,
-    settings: QuadratureSettings | None = None,
-    initial_panels: int = 1,
-) -> QuadratureResult:
-    """Refine [lo, hi] until every panel's integral of f meets settings.rel_tol.
+def integrate_adaptive(f, edges, settings: QuadratureSettings | None = None) -> QuadratureResult:
+    """Refine the seed panels between edges until each one's integral of f meets settings.rel_tol.
 
-    initial_panels seeds a uniform subdivision before refinement (used by
-    `wavepacket.transmitted_integral` to resolve the e^{-i kappa^2 tau}
-    chirp).
-    Raises ValueError, before f is evaluated, when a bound is not finite
-    or hi <= lo; and its subclass QuadratureError when max_panels is hit
-    before convergence, and when a panel to be halved is too narrow to
-    have a double strictly inside.
+    edges are the ascending ends of the seed panels, (lo, hi) for one panel
+    (`wavepacket.transmitted_integral` seeds the panels that resolve its
+    chirp).  Raises ValueError, before f is evaluated, when an edge is not
+    finite or the edges do not ascend; and its subclass QuadratureError
+    when the seed panels or the refinement need more than max_panels
+    panels, and when a panel to be halved is too narrow to have a double
+    strictly inside.
     """
     settings = settings or QuadratureSettings()
-    # nan fails every comparison, so the chain rejects it too
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"integration interval [{lo!r}, {hi!r}] must be finite with hi > lo")
+    lo, hi = edges[0], edges[-1]
+    edges = np.asarray(edges, dtype=float)
+    # nan fails every comparison, so the test rejects it too
+    if not (edges.size > 1 and np.all(np.isfinite(edges)) and np.all(edges[1:] > edges[:-1])):
+        raise ValueError(f"integration interval [{lo!r}, {hi!r}] must be finite "
+                         f"with ascending edges")
     n = settings.nodes_per_panel
-    n_init = max(1, int(initial_panels))
+    n_init = edges.size - 1
     if n_init > settings.max_panels:
         raise QuadratureError(
             f"initial panel count {n_init} exceeds max_panels={settings.max_panels}"
         )
 
-    edges = np.linspace(lo, hi, n_init + 1)
     act_lo, act_hi = edges[:-1], edges[1:]
     act_parent = _panel_integrals(f, act_lo, act_hi, n)[0]
     evaluations = n_init * n
 
-    total_width = hi - lo
+    total_width = edges[-1] - edges[0]
     done_sum = 0.0 + 0.0j
     done_panels = 0
     accepted: list[tuple[np.ndarray, ...]] = []
@@ -146,12 +134,7 @@ def integrate_adaptive(
 
         estimate = done_sum + pair.sum()
         scale = max(abs(estimate), np.finfo(float).tiny)
-        # hybrid budget: width-proportional, floored by an equal share of the
-        # global tolerance so a refinement graded toward one end (the W = 1
-        # packet near kappa = 1) stops once its small panels' absolute
-        # contribution is negligible
-        share = np.maximum((act_hi - act_lo) / total_width, 1.0 / (done_panels + 2 * n_act))
-        budget = settings.rel_tol * scale * share
+        budget = settings.rel_tol * scale * (act_hi - act_lo) / total_width
         ok = np.abs(act_parent - pair) <= budget
 
         done_sum += pair[ok].sum()

@@ -11,10 +11,13 @@ module returns the modulus |T| and the barrier phase
     phi = arctan[(2k^2 - w^2) tanh(qL) / (2kq)].
 
 Everything is expressed in cutoff units: kappa = k/k_M, W = w/k_M,
-u = qL = lam * sqrt(W^2 - kappa^2).  One exp-scaled form covers every u:
-the hyperbolics are divided by e^u/2, so lam up to several hundred stays
-finite in double precision, and 1 - e^{-2u} is written with expm1, which
-stays regular through the removable singularity at k = w (q -> 0).
+u = qL = lam * sqrt(W^2 - kappa^2).  The engine (`wavepacket`) passes the
+angle t of each kappa (kappa = cos t - a sin t) as well, and q is then
+a cos t + sin t, which keeps its digits where kappa, rounded, has lost
+those of W - kappa.  One exp-scaled form covers every u: the hyperbolics
+are divided by e^u/2, so lam up to several hundred stays finite in double
+precision, and 1 - e^{-2u} is written with expm1, which stays regular
+through the removable singularity at k = w (q -> 0).
 
 This module is the exact T only; the analytic approximations the paper
 tests against it (the opaque amplitude, the stationary-phase time) live
@@ -50,19 +53,23 @@ def _kernel(u: np.ndarray, b: np.ndarray, log_scale: float = 0.0):
     return modulus, np.arctan(bs / c)
 
 
-def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0):
+def modulus_phase(kappa, params: DimensionlessParams, log_scale: float = 0.0, t=None):
     """|T(kappa)| * e^{log_scale} and phase phi(kappa), kappa a scalar or an array.
 
     kappa must lie in (0, W]; values in (0, 1] are the physical spectrum
     range.  log_scale lets callers factor out the e^{-q_M L} suppression
     (use log_scale = a*lam) so that opaque configurations do not underflow;
-    it must not exceed min(qL) over the evaluated points.
+    it must not exceed min(qL) over the evaluated points.  t, when given,
+    is the angle of each kappa in the engine's coordinate (kappa = W sin theta,
+    t = theta_M - theta with theta_M = atan2(1, a); see `wavepacket`).  It
+    sets q = W cos theta = a cos t + sin t only; kappa still gives b.
     """
     kappa = np.asarray(kappa, dtype=float)
     # one mask: nan fails both comparisons, so it is rejected too
     if not np.all((kappa > 0.0) & (kappa <= params.W)):
         raise ValueError("kappa must lie in (0, W]")
-    W, lam = params.W, params.lam
-    u = lam * np.sqrt((W - kappa) * (W + kappa))  # no cancellation as kappa -> W
+    W, lam, a = params.W, params.lam, params.a
+    # no cancellation as kappa -> W
+    q = np.sqrt((W - kappa) * (W + kappa)) if t is None else a * np.cos(t) + np.sin(t)
     b = (2.0 * kappa * kappa - W * W) * lam / (2.0 * kappa)
-    return _kernel(u, b, log_scale)
+    return _kernel(lam * q, b, log_scale)

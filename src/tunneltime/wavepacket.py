@@ -12,23 +12,31 @@ the opaque-limit approximations among them, lives in `phasetime`, which
 this module does not import, so the numerical ground truth stays
 independent of the model being tested.
 
-One engine evaluates it (`transmitted_integral`).  It refines the
-factor g |T| e^{i phi} (times e^{a lam}) once, on panels seeded for the
-chirp e^{-i kappa^2 tau} at the largest |tau| asked for, so at every
-smaller one: one per n/2 rad of chirp phase (n nodes per panel).  Each
-accepted panel is at most half a seed panel, n/4 rad, where the n-point
-Gauss-Legendre error on the chirp is about (e/32)^{2n} (Abramowitz &
-Stegun 25.4).  Near E_M = V0 the barrier filters the packet onto a thin strip
-below the cutoff, so the refinement runs on the support [kappa_c, 1] only
-(`support_cut`): kappa_c comes from bounds on |T| alone, and the
-mass it drops moves Phi_T by at most eps/2 * sum|amp| (eps the machine
-epsilon; |Phi_T| ~ sum|amp| at the peak).  amp_j is each accepted
-node's weight times the factor the refinement evaluated there, and
-Phi_T(tau) costs one exponential per node and sample.  At W = 1,
-lam = 500: 10 panels on [0.992, 1], 84 on [0, 1].
+One engine evaluates it (`transmitted_integral`), in the angle t of the
+trigonometric substitution for the sqrt(W^2 - kappa^2) end behaviour
+(Davis & Rabinowitz, Methods of Numerical Integration): kappa = W sin theta
+and t = theta_M - theta, theta_M = atan2(1, a), so kappa = cos t - a sin t,
+q = a cos t + sin t and dkappa = -q dt.  T depends on kappa through
+x = lam (q - a) = lam (sin t - 2 a sin^2(t/2)), which is linear in t at the
+cutoff t = 0 at every W, so the panels follow x and need no grading
+toward kappa = 1.  The engine refines the factor q g |T| e^{i phi} (times
+e^{a lam}) once, on panels seeded for the chirp e^{-i kappa^2 tau} at the
+largest |tau| asked for, so at every smaller one: seed edges at equal
+steps of s = kappa^2 - 1, one per n/2 rad of chirp phase (n nodes per
+panel), and at least one per 8 pi of x.  Each accepted panel is at most
+half a seed panel, n/4 rad, where the n-point Gauss-Legendre error on the
+chirp is about (e/32)^{2n} (Abramowitz & Stegun 25.4).  Near E_M = V0 the
+barrier filters the packet onto a thin strip below the cutoff, so the
+refinement runs on the support [0, t_c] only (`support_cut`): t_c comes
+from bounds on |T| alone, and the mass it drops moves Phi_T by at most
+eps/2 * sum|amp| (eps the machine epsilon; |Phi_T| ~ sum|amp| at the
+peak).  amp_j is each accepted node's weight times the factor the
+refinement evaluated there, and Phi_T(tau) costs one exponential per node
+and sample.  At W = 1, lam = 500: 6 panels on t in [0, 0.127] (kappa from
+0.992 to 1), 74 on all of [0, pi/2]; from lam = 1e4 to 3e6, 6 to 8.
 
-The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1
-= (kappa_j - 1)(kappa_j + 1), so that
+The node set stores its phase relative to the cutoff, s_j = kappa_j^2 - 1,
+formed from t_j without cancellation (`_chart`), so that
 
     Phi_T(tau) = norm e^{-i tau - a lam} sum_j amp_j e^{-i s_j tau}
 
@@ -57,7 +65,7 @@ import numpy as np
 
 from . import spectrum as _spectrum
 from . import transmission
-from .quadrature import integrate_adaptive
+from .quadrature import QuadratureError, integrate_adaptive
 from .units import DimensionlessParams, QuadratureSettings, Spectrum
 
 
@@ -65,22 +73,38 @@ from .units import DimensionlessParams, QuadratureSettings, Spectrum
 _BLOCK = 16
 
 
-def _initial_panels(phase: float, nodes_per_panel: int) -> int:
-    """Panels of at most nodes_per_panel / 2 rad each over a chirp phase span."""
-    return max(1, math.ceil(abs(phase) / (0.5 * nodes_per_panel)))
+def _chart(t, a: float):
+    """kappa, q = sqrt(W^2 - kappa^2) and s = kappa^2 - 1 at the angle t (scalar or array).
+
+    kappa = W sin theta with t = theta_M - theta and theta_M = atan2(1, a), so
+    t = 0 is the cutoff kappa = 1 and t = theta_M is kappa = 0; none of the
+    three cancels at small t.
+    """
+    sin, cos = np.sin(t), np.cos(t)
+    return cos - a * sin, a * cos + sin, -sin * ((1.0 - a) * (1.0 + a) * sin + 2.0 * a * cos)
+
+
+def _angle(s, a: float):
+    """The angle t at s = kappa^2 - 1 in (-1, 0): atan2(q - a kappa, a q + kappa).
+
+    q - a kappa = W^2 (1 - kappa^2) / (q + a kappa), without cancellation.
+    """
+    kappa, q = np.sqrt(1.0 + s), np.sqrt(a * a - s)
+    return np.arctan2(-s * (1.0 + a * a) / (q + a * kappa), a * q + kappa)
 
 
 @dataclass(frozen=True, eq=False)
 class TransmittedWave:
     """Phi_T(tau) at the exit on one composite Gauss-Legendre node set.
 
-    amp_j = w_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}, g at
-    unit norm (`norm` enters `__call__` and, squared, `densities`), on every
-    node of the accepted composite rule of `panels` panels on [kappa_c, 1]
-    (`support_cut`; the cut moves Phi by at most eps/2 * sum|amp|);
-    s_j = (kappa_j - 1)(kappa_j + 1).  weights_j = w_j is the kappa-measure
-    d kappa of node j, so |amp_j|^2 / weights_j = w_j g^2 |T|^2 e^{2 log_scale}
-    is the transmitted weight that `transmitted_mean_k` averages kappa over.
+    amp_j = w_j q_j g(kappa_j) |T(kappa_j)| e^{i phi(kappa_j)} e^{log_scale}, g
+    at unit norm (`norm` enters `__call__` and, squared, `densities`), on
+    every node t_j of the accepted composite rule of `panels` panels on
+    [0, t_c] (`support_cut`; the cut moves Phi by at most eps/2 * sum|amp|);
+    s_j = kappa_j^2 - 1, formed from t_j.  weights_j = w_j q_j is the
+    kappa-measure d kappa of node j, so |amp_j|^2 / weights_j =
+    w_j q_j g^2 |T|^2 e^{2 log_scale} is the transmitted weight that
+    `transmitted_mean_k` averages kappa over.
     The peak search reads the density's slope f = (1/2) d|Phi|^2/dtau
     with its derivative f' (`slope_and_derivative`, for its bracket test
     and each Newton step): one exponential per node, at unit norm.
@@ -155,9 +179,9 @@ class TransmittedWave:
 
 
 def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
-    """Largest kappa_c whose cut [0, kappa_c] drops at most eps/2 * sum|amp|.
+    """Smallest angle t_c whose cut [t_c, theta_M] drops at most eps/2 * sum|amp|.
 
-    The support [kappa_c, 1] of the engine (`transmitted_integral`), whose
+    The support [0, t_c] of the engine (`transmitted_integral`), whose
     node set both transmitted integrals are read off: the wave and, from
     its nodes, the mean momentum (`transmitted_mean_k`).
     With x = lam (q - a), q = sqrt(W^2 - kappa^2), `transmission._kernel`
@@ -167,17 +191,17 @@ def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
     where x <= 1, it is at least (1 - kappa_1) min(g) e^{-1} / sqrt(1 + b^2)
     with g and |b| = |2 kappa^2 - W^2| lam / (2 kappa) at their extremes,
     which they take at the endpoints.  The cut is the smallest x_c at which
-    the upper bound meets eps/2 times the lower one.  Both bounds scale
-    with the norm, so they are taken at norm 1 and kappa_c does not depend
-    on it.  Returns 0 when no cut can be certified: x_c reaches
-    lam (W - a) (kappa = 0), or the lower bound underflows.  Raises
-    ValueError when kappa_c rounds to 1, which leaves no support (at W = 1
-    from lam about 1e10, where the cut's q_c - a falls below 1e-8).
+    the upper bound meets eps/2 times the lower one, returned as its angle
+    (t_c ~ x_c / lam at W = 1, so it keeps its digits at any lam).  Both
+    bounds scale with the norm, so they are taken at norm 1 and t_c does
+    not depend on it.  Returns theta_M = atan2(1, a), the whole spectrum,
+    when no cut can be certified: x_c reaches lam (W - a) (kappa = 0), or
+    the lower bound underflows.
     """
     W, lam, a = params.W, params.lam, params.a
     reach = lam * (W - a)  # x at kappa = 0
     if not reach > 1.0:
-        return 0.0
+        return math.atan2(1.0, a)
     q1 = a + 1.0 / lam
     kappa1 = math.sqrt((W - q1) * (W + q1))
     unit = Spectrum(spec.kappa0, spec.delta)
@@ -186,16 +210,12 @@ def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
     # 1 - kappa_1 = (1 - kappa_1^2) / (1 + kappa_1) = (q_1 - a)(q_1 + a) / (1 + kappa_1)
     width = (q1 + a) / (lam * (1.0 + kappa1))
     lower = width * g * math.exp(-1.0) / math.sqrt(1.0 + b * b)
-    if not lower > 0.0:
-        return 0.0
-    x_cut = math.log(4.0 / np.finfo(float).eps) - math.log(lower)  # 2 e^{-x} = eps/2 * lower
+    # 2 e^{-x} = eps/2 * lower
+    x_cut = math.log(4.0 / np.finfo(float).eps) - math.log(lower) if lower > 0.0 else reach
     if x_cut >= reach:
-        return 0.0
-    q_cut = a + x_cut / lam
-    if (kappa_cut := math.sqrt((W - q_cut) * (W + q_cut))) < 1.0:
-        return kappa_cut
-    raise ValueError(f"the transmitted packet lies within double rounding of kappa = 1 "
-                     f"at lam = {lam:.6g}")
+        return math.atan2(1.0, a)
+    # kappa_c^2 - 1 = -(q_c - a)(q_c + a)
+    return float(_angle(-(x_cut / lam) * (2.0 * a + x_cut / lam), a))
 
 
 def transmitted_integral(
@@ -206,33 +226,47 @@ def transmitted_integral(
 ) -> TransmittedWave:
     """Transmitted wave at the exit for every |tau| <= |time|.
 
-    The amplitude factor is refined to settings.rel_tol on the support
-    [kappa_c, 1] (`support_cut`), from the uniform panels that
-    resolve e^{-i kappa^2 time} there.  Raises ValueError: QuadratureError
-    when that needs more than settings.max_panels panels or a panel too
-    narrow to halve in double precision, and `support_cut`'s ValueError
-    when kappa_c rounds to 1, which leaves no support.  The opaque
-    suppression is factored out of the node amplitudes (log_scale = a * lam)
-    so that they stay representable; calling the wave restores it.
+    The amplitude factor g T q (dkappa = -q dt, and t runs from the cutoff)
+    is refined to settings.rel_tol in the angle t on the support [0, t_c]
+    (`support_cut`),
+    from seed panels of equal span in s, so of equal chirp phase: one per
+    n/2 rad of e^{-i s time}, and at least one per 8 pi of x = lam (q - a),
+    the scale on which T varies: at W = 1, |T| ~ 2 x / (lam sinh x), whose
+    poles at x = +-i pi bound Gauss-Legendre convergence on a wide panel
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 19).
+    Raises ValueError: QuadratureError when that needs more than
+    settings.max_panels panels or a panel too narrow to halve in double
+    precision.  The opaque suppression is factored out of the node
+    amplitudes (log_scale = a * lam) so that they stay representable;
+    calling the wave restores it.
     """
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time}")
     settings = settings or QuadratureSettings()
-    log_scale = params.a * params.lam
+    a, lam = params.a, params.lam
+    log_scale = a * lam
     unit = Spectrum(spec.kappa0, spec.delta)
-    kappa_cut = support_cut(spec, params)
+    t_cut = support_cut(spec, params)
 
-    def amplitude(kappa: np.ndarray) -> np.ndarray:
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale)
-        return _spectrum.evaluate(unit, kappa) * mod * np.exp(1j * phase)
+    def amplitude(t: np.ndarray) -> np.ndarray:
+        kappa, q, _ = _chart(t, a)
+        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale, t=t)
+        return q * _spectrum.evaluate(unit, kappa) * mod * np.exp(1j * phase)
 
-    seed = _initial_panels(time * (1.0 - kappa_cut * kappa_cut), settings.nodes_per_panel)
-    rule = integrate_adaptive(amplitude, kappa_cut, 1.0, settings, initial_panels=seed)
+    _, q_cut, s_cut = _chart(t_cut, a)
+    seeds = max(math.ceil(abs(time * s_cut) / (0.5 * settings.nodes_per_panel)),
+                math.ceil(lam * (q_cut - a) / (8.0 * math.pi)), 1)
+    if seeds > settings.max_panels:
+        raise QuadratureError(f"initial panel count {seeds} exceeds "
+                              f"max_panels={settings.max_panels}")
+    inner = _angle(s_cut * np.arange(1, seeds) / seeds, a)
+    rule = integrate_adaptive(amplitude, [0.0, *inner.tolist(), t_cut], settings)
+    _, q, s = _chart(rule.x, a)
     return TransmittedWave(
-        s=(rule.x - 1.0) * (rule.x + 1.0),
+        s=s,
         amp=rule.w * rule.samples,
         panels=rule.panels,
-        weights=rule.w,
+        weights=rule.w * q,
         log_scale=log_scale,
         norm=spec.norm,
     )
@@ -246,8 +280,9 @@ def transmitted_mean_k(
     """Mean transmitted momentum ratio, Int k g^2 |T|^2 / Int g^2 |T|^2, in (0, 1].
 
     Both integrals are read off the nodes of the engine's wave for tau = 0
-    (one seed panel on the support [kappa_c, 1]): node j carries the weight
-    d_j = |amp_j|^2 / weights_j = w_j g^2 |T|^2 e^{2 a lam} at unit norm.  The
+    (no chirp to seed for, on the support [0, t_c]): node j carries the
+    weight d_j = |amp_j|^2 / weights_j = w_j q_j g^2 |T|^2 e^{2 a lam} at unit
+    norm, the kappa-measure dkappa = q dt.  The
     denominator is sum_j d_j and the gap 1 - mean = sum_j d_j (1 - kappa_j) /
     sum_j d_j, with 1 - kappa_j = -s_j / (1 + sqrt(1 + s_j)) formed from s_j,
     so it keeps its digits as the mean nears the cutoff (1 - mean ~
@@ -255,8 +290,7 @@ def transmitted_mean_k(
     of both (the ratio is invariant), so opaque configurations stay
     representable.  Raises ValueError on a vanishing denominator (a
     spectrum of norm 0; the wave is built at unit norm), and where the
-    engine does: the `support_cut` ValueError when the support rounds to
-    kappa = 1, and QuadratureError past settings.max_panels or on a panel
+    engine does: QuadratureError past settings.max_panels or on a panel
     too narrow to halve.
     """
     wave = transmitted_integral(spec, params, 0.0, settings)

@@ -39,7 +39,10 @@ def test_failed_trace_run_leaves_no_earlier_trace_in_place(tmp_path):
     out, trace = tmp_path / "x.csv", tmp_path / "x_trace.csv"
     assert main(["single", "--lambda", "100", "--trace", "--out", str(out)]) == 0
     assert len(trace.read_text().splitlines()) == 257
-    assert main(["single", "--lambda", "1e7", "--trace", "--out", str(out)]) == 2
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("max_panels = 1\n")  # fewer than the seed panels of every row
+    assert main(["single", "--lambda", "100", "--trace", "--config", str(cfg),
+                 "--out", str(out)]) == 2
     (row,) = read_rows(out)
     assert row.note.startswith("failed:")
     assert trace.read_text() == "tau[hbar/E_M],density[arb]\n"
@@ -113,24 +116,17 @@ def test_wide_barrier_at_matched_energies_runs_under_the_default_max_panels(tmp_
     assert row.panels_max < 100
 
 
-def test_barrier_too_wide_for_a_double_support_names_the_cause(tmp_path):
-    # at W = 1, lam = 1e10 the support cut kappa_c rounds to 1.0: the row
-    # fails on that cause, not inside the integrator on an empty interval
-    out = tmp_path / "widest.csv"
-    assert main(["single", "--lambda", "1e10", "--w-ratio", "1", "--out", str(out)]) == 2
-    (row,) = read_rows(out)
-    assert row.note == ("failed: the transmitted packet lies within double rounding of "
-                        "kappa = 1 at lam = 1e+10")
-
-
 def test_row_fails_on_a_panel_that_cannot_be_halved(tmp_path):
-    # at W = 1, lam = 3e6 the refinement toward kappa = 1 reaches a panel two
-    # adjacent doubles wide; its halves cannot test it, so the row fails and
-    # names the panel instead of printing a tau_num with no error behind it
+    # at W = 1.0000001, lam = 1e20 the support is t < 1.5e-18, where
+    # q = a cos t + sin t rounds to doubles one ulp of a (5.4e-20) apart, so
+    # lam q jumps by 5.4 between two adjacent doubles of t.  The refinement
+    # at that jump reaches a panel two adjacent doubles wide; its halves
+    # cannot test it, so the row fails and names the panel instead of
+    # printing a tau_num with no error behind it
     out = tmp_path / "unhalvable.csv"
-    assert main(["single", "--lambda", "3e6", "--out", str(out)]) == 2
+    assert main(["single", "--lambda", "1e20", "--w-ratio", "1.0000001", "--out", str(out)]) == 2
     (row,) = read_rows(out)
-    assert row.note.startswith("failed: panel [0.99999999999")
+    assert row.note.startswith("failed: panel [1.355")
     assert row.note.endswith("] cannot be halved in double precision")
 
 
@@ -335,6 +331,23 @@ def test_out_that_names_no_file_is_rejected_before_the_run(tmp_path, monkeypatch
     assert capsys.readouterr().err.startswith(
         f"tunneltime: invalid config: bad value for 'out': {out!r} (expected a file name)")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_names_a_directory_is_rejected_before_the_run(tmp_path):
+    # `out` is checked against the file system while the config is built,
+    # so no grid point runs and the numeric modules never load
+    (tmp_path / "d").mkdir()
+    code = ("import sys\n"
+            "from tunneltime.cli import main\n"
+            "code = main(['single', '--lambda', '30', '--out', 'd'])\n"
+            "print(code, 'tunneltime.peakfind' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, text=True, check=True)
+    assert done.stdout == "1 False\n"
+    assert done.stderr == ("tunneltime: invalid config: bad value for 'out': 'd' "
+                           "(expected a file name)\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "d"] and not any((tmp_path / "d").iterdir())
 
 
 def test_unwritable_output_is_reported_not_raised(tmp_path, capsys):

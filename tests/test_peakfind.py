@@ -334,57 +334,81 @@ EPS = np.finfo(float).eps
 @pytest.mark.parametrize(
     "w,lam", [(1.0, 50.0), (1.0, 100.0), (1.0, 500.0), (1.5, 100.0), (2.0, 100.0)]
 )
-def test_engine_is_the_composite_rule_on_the_support(w, lam):
-    # the engine integrates on the support [kappa_c, 1] only, and keeps every
-    # node of the composite rule the refinement chose there: its s and amp
-    # are that rule's, bit for bit.  The cut drops at most (eps/2) * sum|amp|.
-    # The sums are compared in the engine's frame: phase -s tau with
-    # s = kappa^2 - 1, and the factor e^{-i tau - a lam} left out
+def test_engine_is_the_composite_rule_on_the_support(w, lam, monkeypatch):
+    # the engine integrates g T q (dkappa = -q dt) in the angle t (kappa =
+    # cos t - a sin t, q = a cos t + sin t) on the support [0, t_c] only, and
+    # keeps every node of the composite rule the refinement chose there: its
+    # amp and weights are that rule's, bit for bit.  The cut drops at most
+    # (eps/2) * sum|amp|.  The sums are compared in the engine's frame: phase
+    # -s tau with s = kappa^2 - 1, and the factor e^{-i tau - a lam} left out
     params = DimensionlessParams(W=w, lam=lam)
+    a, seeds = params.a, []
+
+    def recording(f, edges, settings=None):
+        seeds.append(np.asarray(edges))
+        return integrate_adaptive(f, edges, settings)
+
+    monkeypatch.setattr(wavepacket, "integrate_adaptive", recording)
     scan = peak_arrival(SPEC, params)
-    wave = scan.wave
+    wave, (edges,) = scan.wave, seeds
     cut = wavepacket.support_cut(SPEC, params)
+    kappa_cut = math.cos(cut) - a * math.sin(cut)
     n = QuadratureSettings().nodes_per_panel
+
+    def amplitude_t(t):
+        kappa, q = np.cos(t) - a * np.sin(t), a * np.cos(t) + np.sin(t)
+        mod, phase = transmission.modulus_phase(kappa, params, log_scale=wave.log_scale, t=t)
+        return q * spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
 
     def amplitude(kappa):
         mod, phase = transmission.modulus_phase(kappa, params, log_scale=wave.log_scale)
         return spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
 
-    def rule(lo, phase_span):
-        seed = wavepacket._initial_panels(phase_span, n)
-        panels = integrate_adaptive(amplitude, lo, 1.0, initial_panels=seed)
-        kappa, weights = panels.x, panels.w
-        return panels, (kappa - 1.0) * (kappa + 1.0), weights * amplitude(kappa), weights
-
     def node_sum(amp, s, tau):
         return np.sum(amp * np.exp(-1j * tau * s))
 
-    panels, s, amp, weights = rule(cut, scan.taus[-1] * (1.0 - cut * cut))
-    total = np.abs(amp).sum()
+    # the seed panels span equal s, one per n/2 rad of the chirp at the
+    # window's end and at least one per 8 pi of x = lam (q - a)
+    x = lam * (np.sin(edges) - 2.0 * a * np.sin(edges / 2.0) ** 2)
+    s_edges = -(x / lam) * (x / lam + 2.0 * a)
+    np.testing.assert_allclose(np.diff(s_edges), s_edges[-1] / (edges.size - 1), rtol=1e-9)
+    assert edges[0] == 0.0 and edges[-1] == cut
+    assert edges.size - 1 == max(math.ceil(scan.taus[-1] * -s_edges[-1] / (n / 2)),
+                                 math.ceil(x[-1] / (8.0 * math.pi)))
+    panels = integrate_adaptive(amplitude_t, edges)
+    t = panels.x
+    q = a * np.cos(t) + np.sin(t)
+    total = np.abs(wave.amp).sum()
     assert wave.panels == panels.panels
-    assert wave.s.size == panels.x.size == n * wave.panels
-    np.testing.assert_array_equal(wave.s, s)
-    np.testing.assert_array_equal(wave.amp, amp)
-    np.testing.assert_array_equal(wave.weights, weights)
-    # weights is the kappa-measure of the support (measured: within 1.3e-15
+    assert wave.s.size == t.size == n * wave.panels
+    np.testing.assert_array_equal(wave.amp, panels.w * panels.samples)
+    np.testing.assert_array_equal(wave.weights, panels.w * q)
+    # s = -(q - a)(q + a), with q - a = sin t - 2 a sin^2(t/2)
+    np.testing.assert_allclose(wave.s, -(np.sin(t) - 2.0 * a * np.sin(t / 2.0) ** 2) * (q + a),
+                               rtol=1e-14, atol=0.0)
+    # weights is the kappa-measure of the support (measured: within 4.9e-15
     # relative), which `transmitted_mean_k` divides |amp|^2 by
-    assert weights.sum() == pytest.approx(1.0 - cut, rel=1e-13, abs=0.0)
-    # the mass the cut drops, by an independent adaptive integral of |f|
-    if cut > 0.0:
+    assert wave.weights.sum() == pytest.approx(1.0 - kappa_cut, rel=1e-13, abs=0.0)
+    # the mass the cut drops, by an independent adaptive integral of |f| in kappa
+    if kappa_cut > 0.0:
         fine = QuadratureSettings(rel_tol=1e-12)
-        dropped = integrate_adaptive(lambda k: np.abs(amplitude(k)), 0.0, cut, fine).value.real
-        assert dropped <= EPS / 2 * total
-    # the rule on all of [0, 1], the engine's node set before the cut: the
-    # two rules differ by their quadrature error only (1.2e-14 at lam = 100,
-    # 9.7e-13 at lam = 500, relative to sum|amp|)
-    _, s_01, amp_01, _ = rule(0.0, scan.taus[-1])
+        dropped = integrate_adaptive(lambda k: np.abs(amplitude(k)), (0.0, kappa_cut), fine)
+        assert dropped.value.real <= EPS / 2 * total
+    # a rule in kappa on all of [0, 1], without the cut and the change of
+    # variable, at rel_tol 1e-10 (it grades toward kappa = 1): the two rules
+    # differ by their quadrature error only (measured: at most 7.2e-15
+    # relative to sum|amp|, at lam = 500)
+    seed = math.ceil(scan.taus[-1] / (n / 2))
+    rule_01 = integrate_adaptive(amplitude, np.linspace(0.0, 1.0, seed + 1),
+                                 QuadratureSettings(rel_tol=1e-10))
+    s_01, amp_01 = (rule_01.x - 1.0) * (rule_01.x + 1.0), rule_01.w * rule_01.samples
     for tau in scan.taus:
         engine = node_sum(wave.amp, wave.s, tau)
         assert abs(engine - node_sum(amp_01, s_01, tau)) <= 1e-12 * total
     if w > 1.0:
-        assert cut == 0.0  # the amplitude is spread over all of [0, 1]
+        assert cut == math.atan2(1.0, a)  # the amplitude is spread over all of [0, 1]
     if lam == 500.0:
-        assert cut > 0.99 and wave.panels == 10
+        assert kappa_cut > 0.99 and wave.panels == 6
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,11 +525,12 @@ def test_transit_time_offset_holds_at_large_lam():
     # past lam = 4000 every kappa_j^2 on the support is close to 1; the slope
     # keeps its digits because the engine stores s_j = kappa_j^2 - 1.  Two
     # node sets, rel_tol 1e-8 with 32 nodes and rel_tol 1e-11 with 64, give
-    # lam (tau_num - c* lam) = -30.5414 / -30.5423 at lam = 8000, -30.5295 /
-    # -30.5422 at 16000 and -30.4666 / -30.5423 at 32000, against -32.75 /
-    # -33.56, +124.4 / -104.1 and -1350 / -5090 with kappa_j^2 in the phase.
-    # Bounds: the two sets within 0.15 of each other (measured 0.076, 2x
-    # margin), and the finer one within 0.005 of d = -30.5423 (measured 1e-4)
+    # lam (tau_num - c* lam) = -30.542283 / -30.542284 at lam = 8000,
+    # -30.542215 / -30.542219 at 16000 and -30.542226 / -30.542235 at 32000,
+    # against -32.75 / -33.56, +124.4 / -104.1 and -1350 / -5090 with
+    # kappa_j^2 in the phase.  Bounds: the two sets within 1e-3 of each other
+    # (measured 8.4e-6), and the finer one within 0.005 of d = -30.5423
+    # (measured 1e-4)
     c_star = 0.21717467305957345386  # `_transit_slope_mp()`, checked above
     node_sets = (QuadratureSettings(rel_tol=1e-8),
                  QuadratureSettings(rel_tol=1e-11, nodes_per_panel=64))
@@ -513,8 +538,20 @@ def test_transit_time_offset_holds_at_large_lam():
         params = DimensionlessParams(W=1.0, lam=lam)
         coarse, fine = (lam * (peak_arrival(SPEC, params, settings=s).tau_peak - c_star * lam)
                         for s in node_sets)
-        assert abs(coarse - fine) <= 0.15
+        assert abs(coarse - fine) <= 1e-3
         assert fine == pytest.approx(-30.5423, abs=0.005)
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e6, 3e6])
+def test_transit_time_at_matched_energies_past_lam_1e5(lam):
+    # in the angle t the engine's panels follow x = lam q, which is linear in
+    # t at the cutoff, so W = 1 refines on a handful of panels at any of
+    # these lam.  Measured: 8 panels, within 3.6e-12 relative of
+    # c* lam + d / lam
+    c_star = 0.21717467305957345386  # `_transit_slope_mp()`, checked above
+    peak = peak_arrival(SPEC, DimensionlessParams(W=1.0, lam=lam))
+    assert peak.refined and peak.wave.panels <= 16
+    assert peak.tau_peak == pytest.approx(c_star * lam - 30.5423 / lam, rel=1e-10, abs=0.0)
 
 
 def _tau_new_series() -> tuple[sympy.Expr, sympy.Expr, sympy.Symbol]:

@@ -81,8 +81,8 @@ def test_mean_k_filter_effect_against_trapezoid_oracle():
 
 
 def test_mean_k_refines_one_integrand_for_both_integrals(monkeypatch):
-    # one engine call, at time 0 (one seed panel), and no refinement of its
-    # own: the one refinement is the engine's, on the support [kappa_c, 1]
+    # one engine call, at time 0 (no chirp to seed for), and no refinement of
+    # its own: the one refinement is the engine's, on the support [0, t_c]
     waves, refinements = [], []
 
     def engine(*args, **kwargs):
@@ -99,10 +99,10 @@ def test_mean_k_refines_one_integrand_for_both_integrals(monkeypatch):
     transmitted_mean_k(Spectrum(), params)
     assert len(waves) == 1 and waves[0][2] == 0.0
     assert len(refinements) == 1
-    (_, lo, hi, _), kwargs = refinements[0]
+    (_, edges, _), _ = refinements[0]
     cut = support_cut(Spectrum(), params)
-    assert (lo, hi, kwargs["initial_panels"]) == (cut, 1.0, 1)
-    assert 0.8 < cut < 1.0  # 0.811
+    assert (edges[0], edges[-1]) == (0.0, cut)
+    assert 0.62 < cut < 0.63  # kappa_c = cos t_c = 0.811
 
 
 def mean_k_gap_oracle(W: float, lam: float) -> mp.mpf:
@@ -111,10 +111,11 @@ def mean_k_gap_oracle(W: float, lam: float) -> mp.mpf:
     |T|^2 e^{2 a lam} = 4 e^{2 (a lam - u)} / ((1 + e^{-2u})^2 + (b s)^2), with
     u = lam q, s = (1 - e^{-2u}) / u (2 as q -> 0 at kappa = W = 1) and
     b = (2 kappa^2 - W^2) lam / (2 kappa), as in `transmission._kernel`.
-    Breakpoints: kappa_c (so the mass the cut drops is counted, not
-    assumed) and 1 - j h for j = 1/16, 1/8, ..., with h = a / lam (h =
-    1/lam^2 at W = 1), the scale on which the weight falls below the
-    cutoff.  Without them tanh-sinh is 3 % off at W = 1, lam = 1e5.
+    Breakpoints: kappa_c, the engine's cut t_c in kappa (so the mass the
+    cut drops is counted, not assumed), and 1 - j h for j = 1/16, 1/8, ...,
+    with h = a / lam (h = 1/lam^2 at W = 1), the scale on which the weight
+    falls below the cutoff.  Without them tanh-sinh is 3 % off at W = 1,
+    lam = 1e5.
     """
     with mp.workdps(20):
         W_, lam_ = mp.mpf(W), mp.mpf(lam)
@@ -127,24 +128,37 @@ def mean_k_gap_oracle(W: float, lam: float) -> mp.mpf:
             g = mp.exp(-((k - mp.mpf(0.5)) ** 2) * 25)  # kappa0 = 0.5, delta = 10
             return 4 * g * g * mp.exp(2 * (a * lam_ - u)) / ((1 + mp.exp(-2 * u)) ** 2 + (b * s) ** 2)
 
-        cut = support_cut(Spectrum(), DimensionlessParams(W=W, lam=lam))
+        t_cut = mp.mpf(support_cut(Spectrum(), DimensionlessParams(W=W, lam=lam)))
+        cut = max(mp.cos(t_cut) - a * mp.sin(t_cut), 0)  # kappa_c = cos t_c - a sin t_c
         h = a / lam_ if a > 0 else 1 / lam_**2
         steps = [1 - mp.mpf(2) ** e * h for e in range(-4, 64) if 1 - mp.mpf(2) ** e * h > cut]
         points = sorted({mp.mpf(0), mp.mpf(cut), *steps, mp.mpf(1)})
         return mp.quad(lambda k: (1 - k) * weight(k), points) / mp.quad(weight, points)
 
 
+# (W, lam, rel_tol), None for the default.  A refinement on [0, 1] from one
+# panel underflows on every node at the first four and misses the strip
+# below the cutoff at the next two.  The last two refine the W = 1 support
+# to 1e-12, which a refinement in kappa cannot do within max_panels
+GAP_CASES = [
+    (1.0, 1e4, None), (1.0, 1e5, None), (1.5, 1e6, None), (2.0, 1e6, None),
+    (1.0, 9669.25, None), (1.5, 594311.0, None), (1.0, 1e5, 1e-12), (1.0, 1e6, 1e-12),
+]
+
+
 @pytest.mark.parametrize(
-    "w, lam",
-    # a refinement on [0, 1] from one panel underflows on every node at the
-    # first four and misses the strip below the cutoff at the last two
-    [(1.0, 1e4), (1.0, 1e5), (1.5, 1e6), (2.0, 1e6), (1.0, 9669.25), (1.5, 594311.0)],
+    "w, lam, rel_tol", GAP_CASES,
+    ids=[f"{w}-{lam}" + (f"-rel_tol={tol}" if tol else "") for w, lam, tol in GAP_CASES],
 )
-def test_mean_k_gap_against_mpmath_at_large_lam(w, lam):
+def test_mean_k_gap_against_mpmath_at_large_lam(w, lam, rel_tol):
     # measured: at most 1.3e-7 relative (W = 1, lam = 1e5, where one ulp of
-    # mean_k is 5e-7 of the gap); 2.1e-9 at W = 1, lam = 1e4
-    gap = 1.0 - transmitted_mean_k(Spectrum(), DimensionlessParams(W=w, lam=lam))
-    assert gap == pytest.approx(float(mean_k_gap_oracle(w, lam)), rel=1e-6)
+    # mean_k is 5e-7 of the gap); 2.1e-9 at W = 1, lam = 1e4.  At lam = 1e6
+    # the gap is 2.2e-12 and one ulp of mean_k is 5e-5 of it (measured: 0.35
+    # ulp off), so the bound is that ulp there (abs) and rel=1e-6 elsewhere
+    tight = rel_tol and QuadratureSettings(rel_tol=rel_tol)
+    gap = 1.0 - transmitted_mean_k(Spectrum(), DimensionlessParams(W=w, lam=lam), tight)
+    oracle = float(mean_k_gap_oracle(w, lam))
+    assert gap == pytest.approx(oracle, rel=1e-6, abs=np.finfo(float).epsneg)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,18 +166,6 @@ def test_mean_k_gap_against_mpmath_at_large_lam(w, lam):
 def test_mean_k_lies_in_the_spectrum_range(w, lam):
     mk = transmitted_mean_k(Spectrum(), DimensionlessParams(W=w, lam=lam))
     assert 0.0 < mk <= 1.0
-
-
-def test_support_within_double_rounding_of_the_cutoff_raises_in_both_integrals():
-    # at W = 1, lam = 1e10 the cut kappa_c rounds to 1: one rule, one message
-    params = DimensionlessParams(W=1.0, lam=1e10)
-    messages = []
-    for integral in (lambda: transmitted_mean_k(Spectrum(), params),
-                     lambda: transmitted_integral(Spectrum(), params, 10.0)):
-        with pytest.raises(ValueError, match="within double rounding of kappa = 1") as exc:
-            integral()
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
 
 
 def test_mean_k_degenerate_spectrum_raises():

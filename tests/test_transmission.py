@@ -53,6 +53,24 @@ def test_removable_singularity_at_cutoff():
     assert phase == pytest.approx(math.atan(50.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("W,lam", [(1.0, 1.0), (1.0, 100.0), (1.5, 10.0), (2.0, 100.0), (30.0, 1.0)])
+def test_angle_form_matches_the_kappa_form(W, lam):
+    # the engine's coordinate: kappa = W sin(theta), t = theta_M - theta with
+    # theta_M = atan2(1, a), so q = W cos(theta) = a cos t + sin t.  With t
+    # the angle of an exact kappa (mpmath, rounded once), both forms give the
+    # same |T| e^{a lam} and phase (measured: at most 2.9e-14 relative, the
+    # rounding of u = lam q at lam = 100)
+    params = DimensionlessParams(W=W, lam=lam)
+    kappas = np.linspace(0.02, 0.98, 49)
+    a = mp.sqrt(mp.mpf(W) ** 2 - 1)
+    t = np.array([float(mp.atan2(1, a) - mp.asin(mp.mpf(k) / W)) for k in kappas])
+    scale = params.a * lam
+    mod, phase = modulus_phase(kappas, params, log_scale=scale)
+    mod_t, phase_t = modulus_phase(kappas, params, log_scale=scale, t=t)
+    np.testing.assert_allclose(mod_t, mod, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(phase_t, phase, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("u", [1e-8, 1e-6, 2e-5, 9e-5, 1.1e-4, 1e-3, 29.9, 30.1, 300.0])
 def test_branch_continuity_through_small_qL(u):
     # one formula for every u: high-precision agreement to 1e-10 through

@@ -90,19 +90,20 @@ def test_node_doubling_stability_at_peak(lam):
 
 
 def test_panel_count_grows_with_oscillation():
-    # seeding is linear in |tau| over the support [kappa_c, 1], where the
-    # chirp's phase spans tau (1 - kappa_c^2) (kappa_c = 0.811 at lam = 100)
+    # seeding is linear in |tau| over the support [0, t_c], where the chirp's
+    # phase spans tau (1 - kappa_c^2) = tau sin^2 t_c at W = 1 (kappa_c =
+    # cos t_c = 0.811 at lam = 100)
     spec = Spectrum()
     waves = {tau: transmitted_integral(spec, REFERENCE, tau) for tau in (50.0, 200.0, 800.0)}
     panels = {tau: wave.panels for tau, wave in waves.items()}
     cut = support_cut(spec, REFERENCE)
-    assert cut == pytest.approx(0.811, abs=1e-3)
+    assert math.cos(cut) == pytest.approx(0.811, abs=1e-3)
     assert panels[200.0] > panels[50.0]
     assert panels[800.0] > panels[200.0]
     # at least twice the seed count, one panel per n/2 rad of chirp phase:
     # the refinement halves every seed panel at least once
     n = QuadratureSettings().nodes_per_panel
-    assert panels[800.0] >= 2 * math.ceil(800.0 * (1.0 - cut * cut) / (n / 2))
+    assert panels[800.0] >= 2 * math.ceil(800.0 * math.sin(cut) ** 2 / (n / 2))
 
 
 @pytest.mark.parametrize(
@@ -111,12 +112,13 @@ def test_panel_count_grows_with_oscillation():
 )
 def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
     # at W = 1 the transmitted weight sits on a strip of width O(1/lam^2)
-    # below the cutoff; at W = 2 it is spread over [0, 1] and nothing is cut
+    # below the cutoff; at W = 2 it is spread over [0, 1] and nothing is cut:
+    # the support is then all of [0, theta_M], kappa = 0 at theta_M = atan2(1, a)
     params = DimensionlessParams(W=w, lam=lam)
-    kappa_cut = support_cut(Spectrum(), params)
-    assert (kappa_cut > 0.0) == cut
-    if cut:  # at a = 0, 1 - kappa_c^2 = q_c^2 with lam q_c = 63 (500), 69 (3000)
-        assert 1.0 - kappa_cut**2 < (80.0 / lam) ** 2
+    t_cut = support_cut(Spectrum(), params)
+    assert (t_cut < math.atan2(1.0, params.a)) == cut
+    if cut:  # at a = 0, q_c = sin t_c with lam q_c = 63 (500), 69 (3000)
+        assert math.sin(t_cut) < 80.0 / lam
 
 
 def test_waves_compare_and_hash_by_identity():
