@@ -17,15 +17,19 @@ trigonometric substitution for the sqrt(W^2 - kappa^2) end behaviour
 (Davis & Rabinowitz, Methods of Numerical Integration): kappa = W sin theta
 and t = theta_M - theta, theta_M = atan2(1, a), so kappa = cos t - a sin t,
 q = a cos t + sin t and dkappa = -q dt.  T depends on kappa through
-x = lam (q - a) = lam (sin t - 2 a sin^2(t/2)), which is linear in t at the
-cutoff t = 0 at every W, so the panels follow x and need no grading
-toward kappa = 1.  The engine refines the factor q g |T| e^{i phi} (times
-e^{a lam}) once, on panels seeded for the chirp e^{-i kappa^2 tau} at the
-largest |tau| asked for, so at every smaller one: seed edges at equal
-steps of s = kappa^2 - 1, one per n/2 rad of chirp phase (n nodes per
-panel), and at least one per 8 pi of x.  Each accepted panel is at most
-half a seed panel, n/4 rad, where the n-point Gauss-Legendre error on the
-chirp is about (e/32)^{2n} (Abramowitz & Stegun 25.4).  Near E_M = V0 the
+x = lam (q - a) = lam (sin t - a sin^2 t / (1 + cos t)), which is linear in
+t at the cutoff t = 0 at every W, so the panels follow x and need no
+grading toward kappa = 1.  `_chart` forms each node's kappa, q - a and
+kappa^2 - 1 from t, and the engine passes x itself to
+`transmission.modulus_phase`, which returns |T| e^{a lam} from it: x keeps
+its digits where a + x / lam, rounded, would not.  The engine refines
+the factor q g |T| e^{i phi} (times e^{a lam}) once, on panels seeded for
+the chirp e^{-i kappa^2 tau} at the largest |tau| asked for, so at every
+smaller one: seed edges at equal steps of s = kappa^2 - 1, one per n/2
+rad of chirp phase (n nodes per panel), and at least one per 8 pi of x.
+Each accepted panel is at most half a seed panel, n/4 rad, where the
+n-point Gauss-Legendre error on the chirp is about (e/32)^{2n}
+(Abramowitz & Stegun 25.4).  Near E_M = V0 the
 barrier filters the packet onto a thin strip below the cutoff, so the
 refinement runs on the support [0, t_c] only (`support_cut`): t_c comes
 from bounds on |T| alone, and the mass it drops moves Phi_T by at most
@@ -74,14 +78,18 @@ _BLOCK = 16
 
 
 def _chart(t, a: float):
-    """kappa, q = sqrt(W^2 - kappa^2) and s = kappa^2 - 1 at the angle t (scalar or array).
+    """kappa, the rise r = q - a and s = kappa^2 - 1 at the angle t (scalar or array).
 
     kappa = W sin theta with t = theta_M - theta and theta_M = atan2(1, a), so
-    t = 0 is the cutoff kappa = 1 and t = theta_M is kappa = 0; none of the
-    three cancels at small t.
+    t = 0 is the cutoff kappa = 1 and t = theta_M is kappa = 0;
+    q = sqrt(W^2 - kappa^2) = a cos t + sin t, so r = sin t - a sin^2 t /
+    (1 + cos t) and s = -(q - a)(q + a) = -r (r + 2a).  None of the three
+    cancels at small t.  This is the one place a node's coordinates are
+    formed from t.
     """
     sin, cos = np.sin(t), np.cos(t)
-    return cos - a * sin, a * cos + sin, -sin * ((1.0 - a) * (1.0 + a) * sin + 2.0 * a * cos)
+    rise = sin - a * sin * sin / (1.0 + cos)
+    return cos - a * sin, rise, -rise * (rise + 2.0 * a)
 
 
 def _angle(s, a: float):
@@ -202,13 +210,14 @@ def support_cut(spec: Spectrum, params: DimensionlessParams) -> float:
     reach = lam * (W - a)  # x at kappa = 0
     if not reach > 1.0:
         return math.atan2(1.0, a)
-    q1 = a + 1.0 / lam
-    kappa1 = math.sqrt((W - q1) * (W + q1))
+    # kappa_1^2 - 1 = -(q_1 - a)(q_1 + a) at q_1 - a = 1 / lam, which a + 1 / lam
+    # would round away once 1 / lam is below ulp(a)
+    s1 = -(2.0 * a + 1.0 / lam) / lam
+    kappa1 = math.sqrt(1.0 + s1)
     unit = Spectrum(spec.kappa0, spec.delta)
     g = min(_spectrum.evaluate(unit, kappa1), _spectrum.evaluate(unit, 1.0))
     b = max(abs(2.0 * k * k - W * W) * lam / (2.0 * k) for k in (kappa1, 1.0))
-    # 1 - kappa_1 = (1 - kappa_1^2) / (1 + kappa_1) = (q_1 - a)(q_1 + a) / (1 + kappa_1)
-    width = (q1 + a) / (lam * (1.0 + kappa1))
+    width = -s1 / (1.0 + kappa1)  # 1 - kappa_1
     lower = width * g * math.exp(-1.0) / math.sqrt(1.0 + b * b)
     # 2 e^{-x} = eps/2 * lower
     x_cut = math.log(4.0 / np.finfo(float).eps) - math.log(lower) if lower > 0.0 else reach
@@ -236,38 +245,38 @@ def transmitted_integral(
     (Trefethen, Approximation Theory and Approximation Practice, ch. 19).
     Raises ValueError: QuadratureError when that needs more than
     settings.max_panels panels or a panel too narrow to halve in double
-    precision.  The opaque suppression is factored out of the node
-    amplitudes (log_scale = a * lam) so that they stay representable;
-    calling the wave restores it.
+    precision.  T comes from x (`transmission.modulus_phase(..., x=)`) as
+    |T| e^{a lam}, so the opaque suppression stays out of the node
+    amplitudes and they stay representable; calling the wave restores it
+    (log_scale = a * lam).
     """
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time}")
     settings = settings or QuadratureSettings()
     a, lam = params.a, params.lam
-    log_scale = a * lam
     unit = Spectrum(spec.kappa0, spec.delta)
     t_cut = support_cut(spec, params)
 
     def amplitude(t: np.ndarray) -> np.ndarray:
-        kappa, q, _ = _chart(t, a)
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=log_scale, t=t)
-        return q * _spectrum.evaluate(unit, kappa) * mod * np.exp(1j * phase)
+        kappa, rise, _ = _chart(t, a)
+        mod, phase = transmission.modulus_phase(kappa, params, x=lam * rise)
+        return (a + rise) * _spectrum.evaluate(unit, kappa) * mod * np.exp(1j * phase)
 
-    _, q_cut, s_cut = _chart(t_cut, a)
+    _, rise_cut, s_cut = _chart(t_cut, a)
     seeds = max(math.ceil(abs(time * s_cut) / (0.5 * settings.nodes_per_panel)),
-                math.ceil(lam * (q_cut - a) / (8.0 * math.pi)), 1)
+                math.ceil(lam * rise_cut / (8.0 * math.pi)), 1)
     if seeds > settings.max_panels:
         raise QuadratureError(f"initial panel count {seeds} exceeds "
                               f"max_panels={settings.max_panels}")
     inner = _angle(s_cut * np.arange(1, seeds) / seeds, a)
     rule = integrate_adaptive(amplitude, [0.0, *inner.tolist(), t_cut], settings)
-    _, q, s = _chart(rule.x, a)
+    _, rise, s = _chart(rule.x, a)
     return TransmittedWave(
         s=s,
         amp=rule.w * rule.samples,
         panels=rule.panels,
-        weights=rule.w * q,
-        log_scale=log_scale,
+        weights=rule.w * (a + rise),
+        log_scale=a * lam,
         norm=spec.norm,
     )
 

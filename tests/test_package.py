@@ -189,3 +189,17 @@ def test_names_are_imported_from_their_home(folder):
                            alias.name in _defined_names(module)) for alias in node.names]
     assert found  # scripts/ imports cli.main
     assert [where for where, defined in found if not defined] == []
+
+
+def test_only_the_chart_forms_a_node_from_its_angle():
+    # kappa, the rise q - a and s = kappa^2 - 1 of a node come from its angle
+    # t in one place, so no other code calls a sine or a cosine
+    calls, chart = [], None
+    for path in sorted((SRC / "tunneltime").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == ("wavepacket", "_chart"):
+                chart = range(node.lineno, node.end_lineno + 1)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("sin", "cos"):
+                calls.append((path.stem, node.lineno))
+    assert calls and chart
+    assert [(module, line) for module, line in calls if module != "wavepacket" or line not in chart] == []

@@ -336,7 +336,8 @@ EPS = np.finfo(float).eps
 )
 def test_engine_is_the_composite_rule_on_the_support(w, lam, monkeypatch):
     # the engine integrates g T q (dkappa = -q dt) in the angle t (kappa =
-    # cos t - a sin t, q = a cos t + sin t) on the support [0, t_c] only, and
+    # cos t - a sin t; T e^{a lam} and q = a + r from the rise r = q - a =
+    # sin t - a sin^2 t / (1 + cos t)) on the support [0, t_c] only, and
     # keeps every node of the composite rule the refinement chose there: its
     # amp and weights are that rule's, bit for bit.  The cut drops at most
     # (eps/2) * sum|amp|.  The sums are compared in the engine's frame: phase
@@ -355,14 +356,17 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam, monkeypatch):
     kappa_cut = math.cos(cut) - a * math.sin(cut)
     n = QuadratureSettings().nodes_per_panel
 
+    def rise(t):
+        return np.sin(t) - a * np.sin(t) * np.sin(t) / (1.0 + np.cos(t))
+
     def amplitude_t(t):
-        kappa, q = np.cos(t) - a * np.sin(t), a * np.cos(t) + np.sin(t)
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=wave.log_scale, t=t)
-        return q * spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
+        kappa = np.cos(t) - a * np.sin(t)
+        mod, phase = transmission.modulus_phase(kappa, params, x=lam * rise(t))
+        return (a + rise(t)) * spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
 
     def amplitude(kappa):
-        mod, phase = transmission.modulus_phase(kappa, params, log_scale=wave.log_scale)
-        return spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase)
+        mod, phase = transmission.modulus_phase(kappa, params)
+        return spectrum_mod.evaluate(SPEC, kappa) * mod * np.exp(1j * phase + wave.log_scale)
 
     def node_sum(amp, s, tau):
         return np.sum(amp * np.exp(-1j * tau * s))
@@ -377,7 +381,7 @@ def test_engine_is_the_composite_rule_on_the_support(w, lam, monkeypatch):
                                  math.ceil(x[-1] / (8.0 * math.pi)))
     panels = integrate_adaptive(amplitude_t, edges)
     t = panels.x
-    q = a * np.cos(t) + np.sin(t)
+    q = a + rise(t)
     total = np.abs(wave.amp).sum()
     assert wave.panels == panels.panels
     assert wave.s.size == t.size == n * wave.panels

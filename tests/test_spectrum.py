@@ -4,7 +4,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tunneltime import wavepacket
 from tunneltime.phasetime import mean_k_opaque
@@ -163,6 +163,10 @@ def test_mean_k_gap_against_mpmath_at_large_lam(w, lam, rel_tol):
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=1.0, max_value=2.0), st.floats(min_value=0.0, max_value=1e6))
+# at W = 2, lam = 1e20 a + 1/lam rounds to a: the support cut must be built
+# from kappa_1^2 - 1 = -(2a + 1/lam)/lam, or it keeps the whole spectrum and
+# asks for some 1e18 seed panels
+@example(2.0, 1e20)
 def test_mean_k_lies_in_the_spectrum_range(w, lam):
     mk = transmitted_mean_k(Spectrum(), DimensionlessParams(W=w, lam=lam))
     assert 0.0 < mk <= 1.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tunneltime.phasetime import amplitude_opaque, stationary_time_full
 from tunneltime.transmission import _kernel, modulus_phase
 from tunneltime.units import DimensionlessParams
+from tunneltime.wavepacket import _chart
 
 mp.mp.dps = 40
 
@@ -57,17 +58,17 @@ def test_removable_singularity_at_cutoff():
 def test_angle_form_matches_the_kappa_form(W, lam):
     # the engine's coordinate: kappa = W sin(theta), t = theta_M - theta with
     # theta_M = atan2(1, a), so q = W cos(theta) = a cos t + sin t.  With t
-    # the angle of an exact kappa (mpmath, rounded once), both forms give the
-    # same |T| e^{a lam} and phase (measured: at most 2.9e-14 relative, the
-    # rounding of u = lam q at lam = 100)
+    # the angle of an exact kappa (mpmath, rounded once), the x form (x =
+    # lam (q - a) from the engine's chart of t) gives the kappa form's |T|
+    # times e^{a lam}, and its phase (measured: at most 2.8e-14 relative, the
+    # rounding of the kappa form's u = lam q at lam = 100)
     params = DimensionlessParams(W=W, lam=lam)
     kappas = np.linspace(0.02, 0.98, 49)
     a = mp.sqrt(mp.mpf(W) ** 2 - 1)
     t = np.array([float(mp.atan2(1, a) - mp.asin(mp.mpf(k) / W)) for k in kappas])
-    scale = params.a * lam
-    mod, phase = modulus_phase(kappas, params, log_scale=scale)
-    mod_t, phase_t = modulus_phase(kappas, params, log_scale=scale, t=t)
-    np.testing.assert_allclose(mod_t, mod, rtol=1e-13, atol=0.0)
+    mod, phase = modulus_phase(kappas, params)
+    mod_t, phase_t = modulus_phase(kappas, params, x=lam * _chart(t, params.a)[1])
+    np.testing.assert_allclose(mod_t, mod * math.exp(params.a * lam), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(phase_t, phase, rtol=1e-13, atol=0.0)
 
 
@@ -125,7 +126,8 @@ def test_rescaled_modulus_matches_direct():
     params = DimensionlessParams(W=math.sqrt(2.0), lam=20.0)
     kap = np.linspace(0.05, 1.0, 33)
     plain, _ = modulus_phase(kap, params)
-    scaled, _ = modulus_phase(kap, params, log_scale=params.a * params.lam)
+    rise = np.sqrt((params.W - kap) * (params.W + kap)) - params.a
+    scaled, _ = modulus_phase(kap, params, x=params.lam * rise)
     assert scaled == pytest.approx(plain * math.exp(params.a * params.lam), rel=1e-12)
 
 

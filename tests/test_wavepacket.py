@@ -1,8 +1,12 @@
+import cmath
 import math
 
+import mpmath as mp
 import pytest
 from scipy.special import erf
 
+from tunneltime import wavepacket
+from tunneltime.quadrature import integrate_adaptive
 from tunneltime.units import DimensionlessParams, QuadratureSettings, Spectrum
 from tunneltime.wavepacket import support_cut, transmitted_integral
 
@@ -119,6 +123,34 @@ def test_support_cut_only_where_the_bound_certifies_it(w, lam, cut):
     assert (t_cut < math.atan2(1.0, params.a)) == cut
     if cut:  # at a = 0, q_c = sin t_c with lam q_c = 63 (500), 69 (3000)
         assert math.sin(t_cut) < 80.0 / lam
+
+
+def test_engine_amplitude_keeps_its_digits_at_w_just_above_1(monkeypatch):
+    # at W = 1.0000001, lam = 1e20 the support is t < 1.5e-18, where a + x /
+    # lam rounds to doubles lam ulp(a) = 5.4 apart in x.  Each node's factor
+    # q g T e^{a lam} is formed from x = lam (q - a) itself, so it matches a
+    # 40-digit evaluation of the same t to 1e-12 relative, in modulus and phase
+    params = DimensionlessParams(W=1.0000001, lam=1e20)
+    rules = []
+
+    def recording(f, edges, settings=None):
+        rules.append(integrate_adaptive(f, edges, settings))
+        return rules[-1]
+
+    monkeypatch.setattr(wavepacket, "integrate_adaptive", recording)
+    transmitted_integral(Spectrum(), params, 0.0)
+    (rule,) = rules
+    assert rule.x.max() < 1.5e-18
+    with mp.workdps(40):
+        W, lam = mp.mpf(params.W), mp.mpf(params.lam)
+        a = mp.sqrt(W * W - 1)
+        for t, sample in zip(rule.x.tolist(), rule.samples.tolist()):
+            kappa, q = mp.cos(t) - a * mp.sin(t), a * mp.cos(t) + mp.sin(t)
+            c = (2 * kappa * kappa - W * W) / (2 * kappa * q)
+            g = mp.exp(-((kappa - 0.5) ** 2) * 25)  # kappa0 = 0.5, delta = 10
+            ref = q * g * mp.exp(a * lam) / (mp.cosh(lam * q) - 1j * c * mp.sinh(lam * q))
+            assert abs(sample) == pytest.approx(float(abs(ref)), rel=1e-12, abs=0.0)
+            assert cmath.phase(sample) == pytest.approx(float(mp.arg(ref)), rel=1e-12, abs=0.0)
 
 
 def test_waves_compare_and_hash_by_identity():
